@@ -35,7 +35,7 @@ from typing import Iterable, Mapping
 
 from .core import Rule, RuleViolation, iter_python_files
 from .dataflow import CONST, SEEDED, resolve_taint
-from .graph import ProjectGraph
+from .graph import ProjectGraph, referenced_identifiers
 from .rules import engine_symbols_by_module
 
 __all__ = [
@@ -65,7 +65,6 @@ class PairRecord:
     subsystem: str
     spec_symbol: str
     engine_symbol: str
-    choices: tuple[str, ...]  # canonical choice strings
     gate: str | None
     line: int  # registration call's line in PAIRS_PATH
 
@@ -78,13 +77,9 @@ class TestEvidence:
 
     path: str
     identifiers: frozenset[str]
-    strings: frozenset[str]
 
     def names_both(self, spec_symbol: str, engine_symbol: str) -> bool:
         return {spec_symbol, engine_symbol} <= self.identifiers
-
-    def exercises_choices(self, engine_symbol: str, choices: Iterable[str]) -> bool:
-        return engine_symbol in self.identifiers and set(choices) <= self.strings
 
 
 @dataclass
@@ -120,11 +115,7 @@ class ProjectContext:
         root = graph.root
         errors: list[RuleViolation] = []
         tests = tuple(
-            TestEvidence(
-                path=facts.path,
-                identifiers=facts.test_identifiers,
-                strings=facts.test_strings,
-            )
+            TestEvidence(path=facts.path, identifiers=facts.test_identifiers)
             for path, facts in sorted(graph.files.items())
             if facts.scope == "tests"
         )
@@ -179,7 +170,6 @@ def _load_pairs(root: Path, errors: list[RuleViolation]) -> tuple[PairRecord, ..
             subsystem=pair.subsystem,
             spec_symbol=pair.spec_symbol or pair.spec.rsplit(".", 1)[-1],
             engine_symbol=pair.engine_symbol or pair.engine.rsplit(".", 1)[-1],
-            choices=tuple(pair.canonical(c) for c in pair.implementations),
             gate=pair.gate,
             line=lines.get(pair.subsystem, 1),
         )
@@ -189,24 +179,11 @@ def _load_pairs(root: Path, errors: list[RuleViolation]) -> tuple[PairRecord, ..
 
 def _test_evidence(path: Path, root: Path) -> TestEvidence:
     display = str(path.relative_to(root)) if path.is_relative_to(root) else str(path)
-    identifiers: set[str] = set()
-    strings: set[str] = set()
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=display)
     except SyntaxError:
-        return TestEvidence(display, frozenset(), frozenset())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            identifiers.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            identifiers.add(node.attr)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            identifiers.add(node.name)
-        elif isinstance(node, ast.alias):
-            identifiers.add(node.name.rsplit(".", 1)[-1])
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            strings.add(node.value)
-    return TestEvidence(display, frozenset(identifiers), frozenset(strings))
+        return TestEvidence(display, frozenset())
+    return TestEvidence(display, referenced_identifiers(tree))
 
 
 def _baseline_gated_keys(
@@ -318,8 +295,8 @@ class ConformanceRule(ProjectRule):
         "no dead baseline keys"
     )
     contract = (
-        "Every register_engine_pair() must have a tests/ file exercising "
-        "both its spec and engine symbols (or every engine choice), must "
+        "Every register_engine_pair() must have a tests/ file naming "
+        "both its spec and engine symbols, must "
         "declare a CI gate metric, and that metric must exist in "
         "bench_baseline.json; baseline keys no pair or gate_speedup call "
         "records are dead and flagged."
@@ -340,7 +317,6 @@ class ConformanceRule(ProjectRule):
         for pair in context.pairs:
             covered = any(
                 evidence.names_both(pair.spec_symbol, pair.engine_symbol)
-                or evidence.exercises_choices(pair.engine_symbol, pair.choices)
                 for evidence in context.tests
             )
             if not covered:
@@ -351,8 +327,7 @@ class ConformanceRule(ProjectRule):
                         self.code,
                         f"engine pair {pair.subsystem!r} has no differential "
                         f"test: no tests/ file references both "
-                        f"{pair.spec_symbol!r} and {pair.engine_symbol!r} (or "
-                        f"exercises every choice of {pair.engine_symbol!r})",
+                        f"{pair.spec_symbol!r} and {pair.engine_symbol!r}",
                     )
                 )
             if pair.gate is None:

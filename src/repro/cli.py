@@ -70,17 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     ec2.add_argument(
-        "--engines",
-        choices=["vectorized", "seed"],
-        default="vectorized",
-        help=(
-            "daemon engine selection for the scrubber/decommission/"
-            "fair-scheduler/raidnode seams (seed runs the scalar "
-            "executable specs; both are element-identical by the "
-            "difftest contract)"
-        ),
-    )
-    ec2.add_argument(
         "--checkpoint-dir",
         default=None,
         help=(
@@ -294,7 +283,6 @@ def _cmd_ec2(
     payload_bytes: int | None,
     blocks: float | None = None,
     profile: bool = False,
-    engines: str = "vectorized",
     checkpoint_dir: str | None = None,
     resume: bool = False,
 ) -> int:
@@ -330,7 +318,6 @@ def _cmd_ec2(
             jobs=jobs,
             cache=cache,
             payload_bytes=payload_bytes,
-            engines=engines,
             checkpoint_dir=checkpoint_dir,
             resume=resume,
         )
@@ -709,7 +696,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.payload_bytes,
             args.blocks,
             args.profile,
-            args.engines,
             args.checkpoint_dir,
             args.resume,
         )

@@ -48,7 +48,6 @@ from .namenode import (
     PlacementError,
 )
 from .flownet import FlowHandle, FlowTable
-from .hdfs import NETWORK_ENGINES
 from .network import Network, Transfer
 from .raidnode import EncodeStripeTask, RaidNode
 from .scrubber_daemon import ScrubberDaemon
@@ -103,7 +102,6 @@ __all__ = [
     "Transfer",
     "FlowHandle",
     "FlowTable",
-    "NETWORK_ENGINES",
     "EncodeStripeTask",
     "RaidNode",
     "ScrubberDaemon",

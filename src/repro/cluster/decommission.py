@@ -19,8 +19,6 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from repro.difftest import validate_engine_choice
-
 from .blocks import BlockId, Stripe
 from .mapreduce import MapReduceJob, Task
 
@@ -33,7 +31,6 @@ __all__ = [
     "RecreateDecision",
     "plan_recreates_seed",
     "plan_recreates_vectorized",
-    "DECOMMISSION_PLANNERS",
 ]
 
 
@@ -165,13 +162,6 @@ def plan_recreates_vectorized(
     return decisions  # type: ignore[return-value]
 
 
-#: The ``decommission_engine`` seam: canonical choice -> planner.
-DECOMMISSION_PLANNERS = {
-    "seed": plan_recreates_seed,
-    "vectorized": plan_recreates_vectorized,
-}
-
-
 class RecreateBlockTask(Task):
     """Rebuild one block somewhere else without reading the retiring node."""
 
@@ -278,12 +268,7 @@ class DecommissionManager:
         self.bytes_read_from_node_before = self.cluster.metrics.disk_read_by_node.get(
             self.node_id, 0.0
         )
-        planner = DECOMMISSION_PLANNERS[
-            validate_engine_choice(
-                "decommission", self.cluster.config.decommission_engine
-            )
-        ]
-        decisions = planner(self.cluster, self.node_id)
+        decisions = plan_recreates_vectorized(self.cluster, self.node_id)
         self.blocks_total = len(decisions)
         tasks: list[Task] = []
         for decision in decisions:

@@ -39,7 +39,6 @@ __all__ = [
     "SchedulerState",
     "plan_pass_seed",
     "plan_pass_vectorized",
-    "SCHEDULER_PLANNERS",
 ]
 
 
@@ -144,10 +143,3 @@ def plan_pass_vectorized(state: SchedulerState) -> np.ndarray:
     ratio = (state.running[job_idx] + m) / state.weight[job_idx]
     order = np.lexsort((state.job_id[job_idx], state.submit_time[job_idx], ratio))
     return job_idx[order[: min(slots, total)]]
-
-
-#: The ``mapreduce_engine`` seam: canonical choice -> planner.
-SCHEDULER_PLANNERS = {
-    "seed": plan_pass_seed,
-    "vectorized": plan_pass_vectorized,
-}

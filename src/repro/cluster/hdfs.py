@@ -22,17 +22,10 @@ from ..codes.base import ErasureCode
 from .blocks import BlockId, Stripe, StoredFile, encode_stripe_payloads
 from .config import ClusterConfig
 from .flownet import FlowTable
-from repro.difftest import validate_engine_choice
-
 from .mapreduce import JobTracker
 from .metrics import MetricsCollector
 from .namenode import NameNode, NameNodeAPI, PlacementError
-from .network import Network
 from .sim import Simulation
-
-#: The fabric implementations ``ClusterConfig.network_engine`` selects
-#: between.  Both expose the same API and bit-identical flow dynamics.
-NETWORK_ENGINES = {"flownet": FlowTable, "seed": Network}
 
 __all__ = ["HadoopCluster", "DataLossError"]
 
@@ -48,6 +41,9 @@ class HadoopCluster:
     it gives HDFS-RS — the two systems the paper compares.  The code
     object is the *only* difference, mirroring how Xorbas swaps the
     ErasureCode implementation under unchanged RaidNode/BlockFixer logic.
+
+    ``namenode_cls`` and ``network_cls`` let differential tests run the
+    scalar specs (``DictNameNode``, ``Network``) under a full cluster.
     """
 
     def __init__(
@@ -56,7 +52,7 @@ class HadoopCluster:
         config: ClusterConfig,
         seed: int = 0,
         namenode_cls: type[NameNodeAPI] = NameNode,
-        network_cls: type | None = None,
+        network_cls: type = FlowTable,
     ):
         config.validate()
         self.code = code
@@ -80,9 +76,6 @@ class HadoopCluster:
             else None
         )
         self.namenode = namenode_cls(node_ids, self.rng, rack_of=rack_of)
-        if network_cls is None:
-            choice = validate_engine_choice("network", config.network_engine)
-            network_cls = NETWORK_ENGINES[choice]
         self.network = network_cls(
             self.sim,
             self.metrics,

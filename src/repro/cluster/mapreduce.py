@@ -16,9 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable
 
-from repro.difftest import validate_engine_choice
-
-from .fairscheduler import SCHEDULER_PLANNERS, SchedulerState
+from .fairscheduler import SchedulerState, plan_pass_vectorized
 
 if TYPE_CHECKING:
     from .hdfs import HadoopCluster
@@ -121,9 +119,6 @@ class JobTracker:
         }
         self.jobs: list[MapReduceJob] = []
         self.heartbeat = config.heartbeat_interval
-        self._planner = SCHEDULER_PLANNERS[
-            validate_engine_choice("mapreduce", config.mapreduce_engine)
-        ]
         self._pass_scheduled = False
 
     # -- submission ---------------------------------------------------------
@@ -181,7 +176,7 @@ class JobTracker:
         if slots and candidates:
             total_slots = sum(free for _, free in slots)
             state = SchedulerState.from_jobs(candidates, total_slots)
-            picks = self._planner(state)
+            picks = plan_pass_vectorized(state)
             # Which job wins a slot is node-independent, so the planned
             # sequence maps one-to-one onto the flattened slot order;
             # locality still decides which task the job hands the node.

@@ -5,7 +5,7 @@ that re-reads stored blocks and verifies their checksums on a rolling
 schedule; hits are reported and repaired like lost blocks.  This daemon
 brings that loop into the simulated cluster: on a fixed period it scans
 every payload-carrying stripe through the
-:class:`~repro.cluster.integrity.Scrubber`, heals in place, and charges
+:class:`~repro.cluster.scrubengine.ScrubEngine`, heals in place, and charges
 the heal's block reads to the cluster metrics at the stripe's block
 size — so scrub traffic shows up in the same Figure 5-style accounting
 as repair traffic, with the same RS-vs-LRC economics.
@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.difftest import validate_engine_choice
-
-from .integrity import ChecksumRegistry, Scrubber, ScrubReport
+from .integrity import ScrubReport
 from .scrubengine import ScrubEngine
 
 if TYPE_CHECKING:
@@ -37,51 +35,33 @@ class ScrubberDaemon:
     scan_interval:
         Seconds of simulated time between full scans (production
         scanners take weeks per full pass; experiments shrink this).
-    engine:
-        "seed" (per-block CRC verification, the spec) or "vectorized"
-        (snapshot comparison); defaults to the cluster config's
-        ``scrubber_engine`` seam.  The CRC registry is maintained in
-        both modes — it is the write path's integrity record — but the
-        vectorized scan never touches it.
     """
 
     def __init__(
         self,
         cluster: "HadoopCluster",
         scan_interval: float = 3600.0,
-        engine: str | None = None,
     ):
         if scan_interval <= 0:
             raise ValueError("scan_interval must be positive")
         self.cluster = cluster
         self.scan_interval = scan_interval
-        self.engine = validate_engine_choice(
-            "scrubber",
-            engine if engine is not None else cluster.config.scrubber_engine,
-        )
-        self.registry = ChecksumRegistry()
-        self._scrubber = Scrubber(self.registry)
-        self._snapshots = (
-            ScrubEngine(on_heal=self.registry.refresh)
-            if self.engine == "vectorized"
-            else None
-        )
+        self._snapshots = ScrubEngine()
         self.reports: list[ScrubReport] = []
         self._started = False
 
     # -- bookkeeping ---------------------------------------------------------
 
     def record_checksums(self) -> int:
-        """Checksum every stored block of every payload-carrying stripe.
+        """Snapshot every stored block of every payload-carrying stripe.
 
-        Call after files are created and RAIDed (the write path).
+        Call after files are created and RAIDed (the write path): scans
+        compare each block against this recorded content.
         Returns the number of blocks recorded.
         """
         recorded = 0
         for stripe in self._stripes():
-            recorded += self.registry.record_stripe(stripe)
-            if self._snapshots is not None:
-                self._snapshots.record_stripe(stripe)
+            recorded += self._snapshots.record_stripe(stripe)
         return recorded
 
     def _stripes(self):
@@ -112,8 +92,8 @@ class ScrubberDaemon:
     def snapshot_state(self) -> dict:
         """Durable daemon state as plain data (see repro.recovery).
 
-        The CRC registry and scrub snapshots rebuild deterministically
-        from the cluster's stripes via :meth:`record_checksums`, so only
+        The scrub snapshots rebuild deterministically from the
+        cluster's stripes via :meth:`record_checksums`, so only
         the scan history and lifecycle flag need to survive.
         """
         return {"started": self._started, "reports": list(self.reports)}
@@ -125,8 +105,7 @@ class ScrubberDaemon:
 
     def scan_once(self) -> ScrubReport:
         """One full pass over all stripes, healing as it goes."""
-        scanner = self._snapshots if self._snapshots is not None else self._scrubber
-        report = scanner.scrub(list(self._stripes()))
+        report = self._snapshots.scrub(list(self._stripes()))
         if report.blocks_read_for_heal:
             self._charge_reads(report)
         return report

@@ -2,8 +2,8 @@
 
 Five PRs hand-rolled the same architecture — keep the scalar seed
 implementation as the executable *spec*, add a vectorized numpy
-*engine* behind a config seam, prove element-identical outputs on
-shared schedules, and gate a >=10x speedup in CI (Monte Carlo, codec,
+*engine*, prove element-identical outputs on shared schedules, and
+gate a >=10x speedup in CI (Monte Carlo, codec,
 BlockIndex, FlowTable, ReadService).  This package is that architecture
 extracted, so the remaining scalar daemons cost a few dozen lines each
 instead of a PR apiece:
@@ -12,11 +12,10 @@ instead of a PR apiece:
   :class:`ArraySchedule` base generalizing PR 5's ``ReadSchedule``:
   pull all of a subsystem's randomness into plain arrays once, feed the
   identical arrays to both implementations.
-* :mod:`~repro.difftest.registry` — the spec/engine registry behind the
-  ``ClusterConfig`` seams (``network_engine``, ``scrubber_engine``,
-  ``decommission_engine``, ``mapreduce_engine``, ``raidnode_engine``,
-  ...): every subsystem declares its pair once and selection is
-  uniform and validated.
+* :mod:`~repro.difftest.registry` — the inventory of spec/engine pairs
+  (spec, engine, CI gate): metadata for reprolint and the bench gate.
+  Production code never selects through it; each subsystem calls its
+  engine, and the spec stays a test oracle.
 * :mod:`~repro.difftest.compare` — the element-identical assertion
   helpers (exact counts, bit-identical float lists, NaN-aware stats)
   previously copy-pasted across the per-subsystem test files.
@@ -40,8 +39,6 @@ from .registry import (
     engine_matrix,
     engine_pair,
     register_engine_pair,
-    resolve_engine,
-    validate_engine_choice,
 )
 from .schedule import (
     ArraySchedule,
@@ -52,7 +49,7 @@ from .schedule import (
     spawn_streams,
 )
 
-from . import pairs as _pairs  # registers the ten spec/engine pairs
+from . import pairs as _pairs  # registers the eleven spec/engine pairs
 
 del _pairs
 
@@ -73,8 +70,6 @@ __all__ = [
     "require_nonnegative",
     "require_sorted",
     "require_within",
-    "resolve_engine",
     "spawn_streams",
     "timed",
-    "validate_engine_choice",
 ]

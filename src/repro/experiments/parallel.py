@@ -178,6 +178,11 @@ class WorkerError(RuntimeError):
         self.cause_traceback = cause_traceback
 
 
+#: Failures worth retrying: the environment's (I/O, memory pressure).
+#: Everything else a seeded simulation raises would raise again.
+_TRANSIENT_ERRORS = (OSError, MemoryError)
+
+
 @dataclass(frozen=True)
 class _WorkerFailure:
     """Failure sentinel shipped back from a pool worker (picklable)."""
@@ -202,10 +207,10 @@ def _run_with_retries(packed: tuple) -> Any:
         try:
             return worker(config)
         except Exception as exc:
-            if attempt + 1 >= attempts:
+            if attempt + 1 >= attempts or not isinstance(exc, _TRANSIENT_ERRORS):
                 return _WorkerFailure(
                     config=config,
-                    attempts=attempts,
+                    attempts=attempt + 1,
                     cause_repr=repr(exc),
                     cause_traceback=traceback.format_exc(),
                 )
@@ -232,8 +237,10 @@ def parallel_map(
     results are stored before returning, so a second call — from this
     process or any later one — is pure cache reads.
 
-    A crashing worker is retried ``retries`` times with exponential
-    backoff (``retry_backoff * 2**attempt`` seconds).  Exhausted
+    A worker that raises ``OSError`` or ``MemoryError`` is retried
+    ``retries`` times with exponential backoff (``retry_backoff *
+    2**attempt`` seconds); any other exception is deterministic (the
+    simulations are seeded) and fails after one attempt.  Exhausted
     failures surface as :class:`WorkerError` carrying the failing
     configuration (``on_error="raise"``, the default) or are
     quarantined to ``None`` slots so the rest of the sweep survives

@@ -14,6 +14,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    def test_ec2_has_no_engine_switch(self, capsys):
+        """The cluster simulator runs one engine stack; the scalar specs
+        are test oracles, not a runtime option."""
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["ec2", "--engines", "seed"])
+        assert info.value.code == 2
+        assert "--engines" in capsys.readouterr().err
+
     def test_defaults(self):
         args = build_parser().parse_args(["ec2"])
         assert args.files == 20

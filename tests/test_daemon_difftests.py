@@ -3,14 +3,24 @@
 Each vectorized daemon (scrubber, decommission, FairScheduler,
 raidnode) is held element-identical to the seed implementation on
 shared schedules, per the spec/engine contract the difftest framework
-encodes.  These are the harness instances the PR 1-5 subsystems grew by
-hand, now a few dozen lines each.
+encodes.  The end-to-end cases run a whole cluster twice: once as
+production builds it, once with the spec patched over the single
+module-level name the daemon calls (``monkeypatch``), so the spec
+never needs a production switch.
 """
 
 import numpy as np
 import pytest
 
-from repro.cluster import HadoopCluster, ScrubberDaemon, ec2_config
+from repro.cluster import (
+    HadoopCluster,
+    ScrubberDaemon,
+    decommission,
+    ec2_config,
+    mapreduce,
+    raidnode,
+    scrubber_daemon,
+)
 from repro.cluster.decommission import (
     plan_recreates_seed,
     plan_recreates_vectorized,
@@ -31,11 +41,8 @@ from repro.codes import rs_10_4, xorbas_lrc
 from repro.difftest import assert_bit_identical
 
 
-def build_cluster(code, files=6, seed=0, **overrides):
-    config = ec2_config(num_nodes=50)
-    if overrides:
-        config = config.scaled(**overrides)
-    cluster = HadoopCluster(code, config, seed=seed)
+def build_cluster(code, files=6, seed=0):
+    cluster = HadoopCluster(code, ec2_config(num_nodes=50), seed=seed)
     for i in range(files):
         cluster.create_file(f"file{i}", 640e6)
     cluster.raid_all_instant()
@@ -84,12 +91,13 @@ class TestScrubberDifferential:
         assert spec.scrub(stripes_by_impl[0]).clean
         assert engine.scrub(stripes_by_impl[1]).clean
 
-    def test_daemon_engine_seed_end_to_end(self):
+    def test_daemon_engine_seed_end_to_end(self, monkeypatch):
         healed = {}
-        for engine in ("seed", "vectorized"):
-            cluster = build_cluster(xorbas_lrc(), scrubber_engine=engine)
+        for impl in ("spec", "engine"):
+            if impl == "spec":
+                monkeypatch.setattr(scrubber_daemon, "ScrubEngine", SpecScrubber)
+            cluster = build_cluster(xorbas_lrc())
             daemon = ScrubberDaemon(cluster, scan_interval=600.0)
-            assert daemon.engine == engine
             daemon.record_checksums()
             daemon.start()
             stripes = cluster.files["file1"].stripes
@@ -102,13 +110,28 @@ class TestScrubberDifferential:
             )
             schedule.apply(stripes)
             cluster.run(until=601.0)
-            healed[engine] = (
+            healed[impl] = (
                 daemon.total_healed,
                 daemon.total_blocks_read,
                 [r.healed_blocks for r in daemon.reports],
             )
-        assert healed["seed"] == healed["vectorized"]
-        assert healed["seed"][0] > 0
+            monkeypatch.undo()
+        assert healed["spec"] == healed["engine"]
+        assert healed["spec"][0] > 0
+
+
+class SpecScrubber:
+    """The CRC-verifying ``Scrubber`` spec behind ``ScrubEngine``'s
+    constructor and recording API, for patching into the daemon."""
+
+    def __init__(self):
+        self.spec = Scrubber(ChecksumRegistry())
+
+    def record_stripe(self, stripe):
+        return self.spec.registry.record_stripe(stripe)
+
+    def scrub(self, stripes):
+        return self.spec.scrub(stripes)
 
 
 class TestDecommissionDifferential:
@@ -123,6 +146,29 @@ class TestDecommissionDifferential:
             engine_plan = plan_recreates_vectorized(cluster, victim)
             assert spec_plan == engine_plan
             assert spec_plan  # the victim actually held blocks
+
+    def test_decommission_end_to_end_identical(self, monkeypatch):
+        outcomes = {}
+        for impl in ("spec", "engine"):
+            if impl == "spec":
+                monkeypatch.setattr(
+                    decommission, "plan_recreates_vectorized", plan_recreates_seed
+                )
+            cluster = build_cluster(xorbas_lrc(), files=8, seed=4)
+            cluster.fail_node("node013")
+            manager = decommission.DecommissionManager(cluster, "node002")
+            manager.start()
+            cluster.run(until=24 * 3600.0)
+            outcomes[impl] = (
+                manager.retired,
+                manager.blocks_relocated,
+                cluster.sim.now,
+                cluster.metrics.hdfs_bytes_read,
+                cluster.fsck(),
+            )
+            monkeypatch.undo()
+        assert outcomes["spec"] == outcomes["engine"]
+        assert outcomes["spec"][0] and outcomes["spec"][1] > 0
 
     def test_vectorized_interns_per_pattern(self):
         cluster = build_cluster(xorbas_lrc(), files=12, seed=1)
@@ -180,14 +226,14 @@ class TestFairSchedulerDifferential:
             plan_pass_vectorized(state), plan_pass_seed(state)
         )
 
-    def test_workload_identical_under_both_engines(self):
+    def test_workload_identical_under_both_engines(self, monkeypatch):
         from repro.cluster.workload import DegradedReadStats, make_wordcount_job
 
         results = {}
-        for engine in ("seed", "vectorized"):
-            cluster = build_cluster(
-                xorbas_lrc(), files=3, mapreduce_engine=engine
-            )
+        for impl in ("spec", "engine"):
+            if impl == "spec":
+                monkeypatch.setattr(mapreduce, "plan_pass_vectorized", plan_pass_seed)
+            cluster = build_cluster(xorbas_lrc(), files=3)
             stats = DegradedReadStats()
             jobs = []
             for i in range(3):
@@ -198,12 +244,13 @@ class TestFairSchedulerDifferential:
                 cluster.jobtracker.submit(job)
                 jobs.append(job)
             cluster.run(until=20000.0)
-            results[engine] = [
+            results[impl] = [
                 (job.completed, job.start_time, job.finish_time)
                 for job in jobs
             ]
-        assert results["seed"] == results["vectorized"]
-        assert all(finish is not None for _, _, finish in results["seed"])
+            monkeypatch.undo()
+        assert results["spec"] == results["engine"]
+        assert all(finish is not None for _, _, finish in results["spec"])
 
 
 class TestRaidScanDifferential:
@@ -250,24 +297,34 @@ class TestRaidScanDifferential:
         live = sum(1 for f in files.values() if not f.raided)
         assert index.pending_count <= live + len(in_flight)
 
-    def test_raidnode_end_to_end_identical(self):
-        from repro.cluster.raidnode import RaidNode
-
+    def test_raidnode_end_to_end_identical(self, monkeypatch):
         outcomes = {}
-        for engine in ("seed", "vectorized"):
-            config = ec2_config(num_nodes=50).scaled(raidnode_engine=engine)
-            cluster = HadoopCluster(xorbas_lrc(), config, seed=2)
+        for impl in ("spec", "engine"):
+            if impl == "spec":
+                monkeypatch.setattr(raidnode, "RaidScanIndex", SpecRaidScan)
+            cluster = HadoopCluster(xorbas_lrc(), ec2_config(num_nodes=50), seed=2)
             for i in range(4):
                 cluster.create_file(f"file{i}", 640e6)
-            node = RaidNode(cluster, interval=60.0)
-            assert node.engine == engine
+            node = raidnode.RaidNode(cluster, interval=60.0)
             node.start()
             cluster.run(until=4000.0)
-            outcomes[engine] = sorted(
+            outcomes[impl] = sorted(
                 (name, stored.raided) for name, stored in cluster.files.items()
             )
-        assert outcomes["seed"] == outcomes["vectorized"]
-        assert all(raided for _, raided in outcomes["seed"])
+            monkeypatch.undo()
+        assert outcomes["spec"] == outcomes["engine"]
+        assert all(raided for _, raided in outcomes["spec"])
+
+
+class SpecRaidScan:
+    """``scan_candidates_seed`` behind ``RaidScanIndex``'s API: a full
+    namespace re-sort every scan, so there is nothing to mark."""
+
+    def candidates(self, files, in_flight, should_raid):
+        return scan_candidates_seed(files, in_flight, should_raid)
+
+    def mark_raided(self, name):
+        pass
 
 
 class TestReadScheduleIsArraySchedule:

@@ -28,9 +28,7 @@ from repro.difftest import (
     require_within,
     spawn_streams,
     timed,
-    validate_engine_choice,
 )
-from repro.difftest.registry import register_engine_pair
 
 
 class TestCompareHelpers:
@@ -150,33 +148,11 @@ class TestRegistry:
         for pair in engine_matrix():
             assert pair.spec != pair.engine
             assert pair.gate is not None
-            assert pair.canonical(pair.default) in pair.implementations
-
-    def test_validate_canonicalizes_aliases(self):
-        assert validate_engine_choice("network", "vectorized") == "flownet"
-        assert validate_engine_choice("network", "seed") == "seed"
-        assert validate_engine_choice("readservice", "seed") == "event"
-        assert validate_engine_choice("montecarlo", "vectorized") == "batched"
-        assert validate_engine_choice("xorplane", "plane") == "xor"
-        assert validate_engine_choice("xorplane", "seed") == "gf"
-        with pytest.raises(ValueError, match="unknown scrubber engine"):
-            validate_engine_choice("scrubber", "bogus")
-
-    def test_unregistered_subsystem_uniform_vocabulary(self):
-        assert validate_engine_choice("not-registered", "seed") == "seed"
-        with pytest.raises(ValueError, match="unknown not-registered engine"):
-            validate_engine_choice("not-registered", "flownet")
 
     def test_engine_pair_lookup_errors(self):
-        assert engine_pair("scrubber").config_field == "scrubber_engine"
+        assert engine_pair("scrubber").spec == "repro.cluster.integrity.Scrubber"
         with pytest.raises(KeyError, match="no spec/engine pair"):
             engine_pair("nonexistent")
-
-    def test_register_rejects_bad_default(self):
-        with pytest.raises(ValueError, match="default"):
-            register_engine_pair(
-                "temp-bad", spec="a", engine="b", default="nonsense"
-            )
 
 
 class TestBenchGate:

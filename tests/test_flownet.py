@@ -12,18 +12,21 @@ saturated resource) and the full-simulation equivalence test driving
 complete EC2 failure schedules through both engines.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.cluster import (
     FlowTable,
+    HadoopCluster,
     MetricsCollector,
     Network,
     Simulation,
     ec2_config,
 )
 from repro.codes import xorbas_lrc
-from repro.experiments.runner import run_failure_schedule
+from repro.experiments import runner
 
 ENGINES = [Network, FlowTable]
 
@@ -344,13 +347,17 @@ def test_zero_byte_handle_reports_done():
 # ---------------------------------------------------------------------------
 
 
-def run_schedule(network_engine: str, racks: bool):
-    overrides = {"network_engine": network_engine}
+def run_schedule(monkeypatch, network_cls: type, racks: bool):
+    """The production failure schedule with ``network_cls`` swapped in
+    where ``run_failure_schedule`` builds its cluster."""
+    monkeypatch.setattr(
+        runner, "HadoopCluster", partial(HadoopCluster, network_cls=network_cls)
+    )
+    config = ec2_config(num_nodes=20)
     if racks:
-        overrides.update(num_racks=4, rack_bandwidth=40e6)
-    config = ec2_config(num_nodes=20).scaled(**overrides)
-    return run_failure_schedule(
-        network_engine,
+        config = config.scaled(num_racks=4, rack_bandwidth=40e6)
+    return runner.run_failure_schedule(
+        network_cls.__name__,
         xorbas_lrc(),
         config,
         [640e6] * 3,
@@ -360,12 +367,14 @@ def run_schedule(network_engine: str, racks: bool):
 
 
 @pytest.mark.parametrize("racks", [False, True], ids=["flat", "racked"])
-def test_full_simulation_identical_across_engines(racks):
+def test_full_simulation_identical_across_engines(monkeypatch, racks):
     """A complete EC2 failure schedule — load, RAID, kill nodes, repair
     to quiescence — produces identical fsck, bit-exact repair timings
     and event orderings, and re-association-level-equal metrics."""
-    run_seed = run_schedule("seed", racks)
-    run_flow = run_schedule("flownet", racks)
+    run_seed = run_schedule(monkeypatch, Network, racks)
+    run_flow = run_schedule(monkeypatch, FlowTable, racks)
+    assert type(run_seed.cluster.network) is Network
+    assert type(run_flow.cluster.network) is FlowTable
     assert run_seed.cluster.fsck() == run_flow.cluster.fsck()
     # The clocks agree exactly: every repair completed at the same instant.
     assert run_seed.cluster.sim.now == run_flow.cluster.sim.now

@@ -14,6 +14,7 @@ from repro.reliability import ClusterReliabilityParameters, simulate_scheme_mttd
 from repro.reliability.markov import BirthDeathChain
 from repro.reliability.montecarlo import (
     estimate_mttdl,
+    simulate_time_to_absorption,
     simulate_times_to_absorption,
 )
 
@@ -92,6 +93,19 @@ class TestAgainstLegacyLoop:
         )
         combined = np.hypot(batched.std_error, looped.std_error)
         assert abs(batched.mean_seconds - looped.mean_seconds) <= 4.0 * combined
+
+    def test_single_trajectory_follows_the_spec(self):
+        """One trajectory per seed: the engine consumes the generator in
+        the spec's order (sojourn, then jump), so it walks the same jump
+        chain and absorbs at the same time up to float rounding."""
+        for seed in range(50):
+            spec = simulate_time_to_absorption(
+                COMPRESSED, np.random.default_rng(seed), start=1
+            )
+            (engine,) = simulate_times_to_absorption(
+                COMPRESSED, np.random.default_rng(seed), trials=1, start=1
+            )
+            assert engine == pytest.approx(spec, rel=1e-12), seed
 
     def test_both_engines_bracket_the_analytic_value(self):
         analytic = COMPRESSED.mean_time_to_absorption()

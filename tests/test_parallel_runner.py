@@ -37,11 +37,23 @@ def _flaky(config):
     marker = Path(config["marker"])
     if not marker.exists():
         marker.write_text("attempt 1 crashed")
-        raise RuntimeError("transient worker crash")
+        raise OSError("transient worker crash")
     return "recovered"
 
 
 class TestConfigHash:
+    def test_default_ec2_keys_pinned(self):
+        """On-disk results cached before the engine seams were removed
+        stay valid: the default scheme configs hash as they always did."""
+        assert (
+            config_hash(scheme_config("HDFS-RS"))
+            == "47b8587a5e90ef2c8280be38a91885ab"
+        )
+        assert (
+            config_hash(scheme_config("HDFS-Xorbas"))
+            == "d494863cdbbde6d83f0ac3d4670c24a5"
+        )
+
     def test_stable_across_key_order(self):
         assert config_hash({"a": 1, "b": [2, 3]}) == config_hash({"b": [2, 3], "a": 1})
 
@@ -206,6 +218,7 @@ class TestRetriesAndFailures:
         assert inspect.signature(parallel_map).parameters["retries"].default == 2
 
     def test_exhausted_retries_report_attempt_count(self, tmp_path):
+        """A RuntimeError is deterministic: one attempt, not three."""
         with pytest.raises(WorkerError) as info:
             parallel_map(
                 _maybe_fail,
@@ -213,6 +226,28 @@ class TestRetriesAndFailures:
                 jobs=1,
                 retries=2,
                 retry_backoff=0,
+            )
+        assert info.value.attempts == 1
+
+    def test_deterministic_failure_calls_worker_once(self, tmp_path):
+        calls = tmp_path / "calls"
+
+        def count_then_fail(config):
+            with calls.open("a") as log:
+                log.write("call\n")
+            raise ValueError("seeded simulation error")
+
+        with pytest.raises(WorkerError):
+            parallel_map(count_then_fail, [{"x": 1}], jobs=1, retry_backoff=0)
+        assert calls.read_text().splitlines() == ["call"]
+
+    def test_transient_failure_exhausts_retries(self, tmp_path):
+        def always_oserror(config):
+            raise OSError("disk went away")
+
+        with pytest.raises(WorkerError) as info:
+            parallel_map(
+                always_oserror, [{"x": 1}], jobs=1, retries=2, retry_backoff=0
             )
         assert info.value.attempts == 3
 

@@ -316,9 +316,7 @@ class TestKillResumeEquivalence:
         run = run_failure_schedule(
             "HDFS-Xorbas",
             xorbas_lrc(),
-            ec2_config(num_nodes=SMALL["num_nodes"]).scaled(
-                network_engine="flownet"
-            ),
+            ec2_config(num_nodes=SMALL["num_nodes"]),
             [640e6] * SMALL["num_files"],
             SMALL["pattern"],
             seed=SMALL["seed"],
@@ -383,12 +381,6 @@ class TestKillResumeEquivalence:
         assert_runs_equivalent(spec_summary, resumed)
 
     @pytest.mark.slow
-    def test_seed_engines_equivalent_too(self, tmp_path):
-        spec = run_uninterrupted(**SMALL, engines="seed")
-        resumed = run_with_kill_resume(tmp_path, **SMALL, engines="seed", kill_epoch=1)
-        assert_runs_equivalent(spec, resumed)
-
-    @pytest.mark.slow
     def test_rs_scheme_equivalent_too(self, tmp_path):
         spec = run_uninterrupted(**SMALL, scheme="HDFS-RS")
         resumed = run_with_kill_resume(
@@ -398,36 +390,28 @@ class TestKillResumeEquivalence:
 
 
 _SWEEP_PATTERN = (1, 2, 1)
-_SWEEP_SPECS: dict[str, object] = {}
 
 
-def _sweep_spec(engines: str):
-    if engines not in _SWEEP_SPECS:
-        _SWEEP_SPECS[engines] = run_uninterrupted(
-            **{**SMALL, "pattern": _SWEEP_PATTERN}, engines=engines
-        )
-    return _SWEEP_SPECS[engines]
+@pytest.fixture(scope="module")
+def sweep_spec():
+    return run_uninterrupted(**{**SMALL, "pattern": _SWEEP_PATTERN})
 
 
 @pytest.mark.slow
 @settings(max_examples=6, deadline=None)
-@given(
-    kill_epoch=st.integers(min_value=0, max_value=len(_SWEEP_PATTERN) - 1),
-    engines=st.sampled_from(["vectorized", "seed"]),
-)
+@given(kill_epoch=st.integers(min_value=0, max_value=len(_SWEEP_PATTERN) - 1))
 def test_kill_resume_equivalent_at_every_kill_point(
-    tmp_path_factory, kill_epoch, engines
+    tmp_path_factory, sweep_spec, kill_epoch
 ):
-    """Hypothesis-swept kill points x engine choices: equivalence holds
-    wherever the crash lands."""
-    scratch = tmp_path_factory.mktemp(f"kill{kill_epoch}-{engines}")
+    """Hypothesis-swept kill points: equivalence holds wherever the
+    crash lands."""
+    scratch = tmp_path_factory.mktemp(f"kill{kill_epoch}")
     resumed = run_with_kill_resume(
         scratch,
         **{**SMALL, "pattern": _SWEEP_PATTERN},
-        engines=engines,
         kill_epoch=kill_epoch,
     )
-    assert_runs_equivalent(_sweep_spec(engines), resumed)
+    assert_runs_equivalent(sweep_spec, resumed)
 
 
 @pytest.mark.slow
