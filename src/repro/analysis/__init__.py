@@ -6,12 +6,12 @@ via spawned streams, every vectorized engine keeps its scalar spec with
 a differential test and a CI-gated bench metric, empty-window statistics
 return NaN rather than a misleading zero, and simulation code never
 lets set-iteration order feed float accumulation.  v2 mechanizes those
-contracts in two layers: per-file rules dispatched from a single
-``ast.parse`` walk, and whole-program rules that query a project fact
-graph (:mod:`repro.analysis.graph`) through an interprocedural taint
-lattice (:mod:`repro.analysis.dataflow`), with an incremental
-content-hash cache (:mod:`repro.analysis.cache`) so warm runs parse
-nothing.
+contracts in one pipeline (:func:`repro.analysis.cli.lint`) with two
+layers: per-file rules dispatched from a single ``ast.parse`` walk, and
+whole-program rules that query a project fact graph
+(:mod:`repro.analysis.graph`) through an interprocedural taint lattice
+(:mod:`repro.analysis.dataflow`), with an incremental content-hash
+cache (:mod:`repro.analysis.cache`) so warm runs parse nothing.
 
 Rules (each suppressible per line with ``# reprolint: disable=RL0xx``;
 run ``repro lint --explain RL0xx`` for the contract and examples):
@@ -19,8 +19,8 @@ run ``repro lint --explain RL0xx`` for the contract and examples):
 ========  =============================================================
 RL001     RNG discipline: no stdlib ``random`` / legacy ``np.random.*``
           calls in ``src/repro`` (default_rng provenance moved to RL009)
-RL002     engine purity: no per-element Python index loops over
-          struct-of-arrays fields inside registered engine bodies
+RL002     engine purity: no per-element Python index loops inside
+          registered engine bodies or the helpers they call
 RL003     spec/engine conformance: every registered pair has a
           differential test and a gated baseline metric; no dead keys
 RL004     NaN convention: empty-window stats return NaN, never 0
@@ -37,16 +37,14 @@ RL010     snapshot coverage: mutable attributes on snapshot/restore
           classes must be captured or marked ``# reprolint: transient``
 RL011     cache-key completeness: every ClusterConfig/DegradedReadConfig
           field reaches a cache-key builder or a documented exclusion
-RL012     interprocedural engine purity: helpers called from registered
-          engine bodies must not run per-element index loops
 ========  =============================================================
 """
 
 from .cache import AnalysisCache
-from .core import LintContext, RuleViolation, lint_file, lint_paths, lint_source
+from .core import LintContext, RuleViolation, lint_source
 from .graph import ProjectGraph, analyze_paths
-from .project import ProjectContext, run_project_rules, run_project_rules_ex
-from .registry import PROJECT_RULE_CODES, RULE_DESCRIPTIONS, explain
+from .project import ProjectContext, run_project_rules
+from .registry import RULE_DESCRIPTIONS, explain
 from .report import render_github, render_human, render_json
 from .rules import FILE_RULES
 
@@ -54,47 +52,26 @@ __all__ = [
     "AnalysisCache",
     "FILE_RULES",
     "LintContext",
-    "PROJECT_RULE_CODES",
     "ProjectContext",
     "ProjectGraph",
     "RULE_DESCRIPTIONS",
     "RuleViolation",
     "analyze_paths",
     "explain",
-    "lint_file",
-    "lint_paths",
     "lint_repo",
     "lint_source",
     "render_github",
     "render_human",
     "render_json",
     "run_project_rules",
-    "run_project_rules_ex",
 ]
 
 
 def lint_repo(root=None, rules=None, cache=False):
-    """Lint the repository's default targets plus the project rules.
-
-    Convenience wrapper used by the CLI and the self-application test:
-    the whole-program fact graph over ``src/``, ``benchmarks/``,
-    ``examples/`` (and ``tests/`` for coverage evidence), then every
-    applicable rule.  Returns the sorted violation list.  ``cache=True``
-    reuses/writes ``.reprolint-cache.json``.
-    """
-    from .cli import default_targets, resolve_root
+    """The sorted violation list of one :func:`repro.analysis.cli.lint`
+    run over the repository (``cache=True`` reuses/writes
+    ``.reprolint-cache.json``)."""
+    from .cli import lint, resolve_root
 
     root = resolve_root(root)
-    targets = default_targets(root)
-    if (root / "tests").exists():
-        targets.append(root / "tests")
-    analysis_cache = AnalysisCache(root) if cache else None
-    graph, violations, _ = analyze_paths(
-        targets, root=root, rules=rules, cache=analysis_cache
-    )
-    if rules is None or PROJECT_RULE_CODES & set(rules):
-        project = ProjectContext.from_graph(graph)
-        violations = sorted(
-            violations + run_project_rules(project, rules=rules, graph=graph)
-        )
-    return violations
+    return lint(root, rules, AnalysisCache(root) if cache else None)[1]

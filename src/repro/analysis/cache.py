@@ -5,15 +5,13 @@ file's content hash, so an unchanged file is never re-parsed: a warm
 run hashes each file, loads its record, rebuilds the ProjectGraph from
 cached facts, and re-runs only the (pure, fast) whole-program rules.
 
-Cross-file invalidation is deliberately coarse: per-file *facts* are
-self-contained, but the per-file RL002 results depend on the difftest
-registry and the project rules depend on the committed baseline, so the
-environment hash folds in the analyzer version plus the content of
-``pairs.py`` and ``bench_baseline.json``.  Any change to those — or to
-the rule implementations themselves (bump :data:`ANALYZER_VERSION`) —
-discards the whole cache rather than tracking fine-grained fact
-dependencies.  That trade keeps the invalidation contract auditable:
-a cache entry is valid iff (env hash, content hash) both match.
+A cached record depends on its own file only: per-file rules read
+nothing but the file, and everything cross-file (the difftest registry,
+the committed baseline, other files' facts) is consumed by the
+whole-program rules, which re-run on every invocation.  So the
+environment hash is just :data:`ANALYZER_VERSION` — bumped on any rule
+or fact-schema change — and a cache entry is valid iff (env hash,
+content hash) both match.
 
 The cache lives in ``.reprolint-cache.json`` at the repository root
 (gitignored); a corrupt or stale file is treated as empty, never an
@@ -32,30 +30,18 @@ __all__ = ["ANALYZER_VERSION", "AnalysisCache"]
 
 #: Bump on any rule or fact-schema change: the env hash folds this in,
 #: so stale caches self-invalidate on upgrade.
-ANALYZER_VERSION = "2.1"
+ANALYZER_VERSION = "3.0"
 
 CACHE_FILENAME = ".reprolint-cache.json"
-
-#: Repo files whose content feeds per-file or project rule results
-#: without being the linted file itself (the cross-file fact inputs).
-_ENV_INPUTS = ("src/repro/difftest/pairs.py", "benchmarks/bench_baseline.json")
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def environment_hash(root: Path) -> str:
+def environment_hash() -> str:
     """Hash of everything that can invalidate cached results globally."""
-    digest = hashlib.sha256(ANALYZER_VERSION.encode())
-    for relative in _ENV_INPUTS:
-        path = Path(root) / relative
-        digest.update(relative.encode())
-        try:
-            digest.update(path.read_bytes())
-        except OSError:
-            digest.update(b"<missing>")
-    return digest.hexdigest()
+    return _sha256(ANALYZER_VERSION.encode())
 
 
 class AnalysisCache:
@@ -64,7 +50,7 @@ class AnalysisCache:
     def __init__(self, root: Path, path: Path | None = None):
         self.root = Path(root)
         self.path = Path(path) if path is not None else self.root / CACHE_FILENAME
-        self.env = environment_hash(self.root)
+        self.env = environment_hash()
         self._entries: dict[str, dict] = {}
         self._dirty = False
         self.hits = 0
@@ -77,7 +63,7 @@ class AnalysisCache:
         except (OSError, ValueError):
             return
         if not isinstance(payload, dict) or payload.get("env") != self.env:
-            return  # analyzer/registry/baseline changed: start over
+            return  # analyzer changed: start over
         entries = payload.get("files")
         if isinstance(entries, dict):
             self._entries = entries

@@ -6,10 +6,14 @@ selects human lines (default), JSON, or GitHub workflow commands; the
 github format also appends a markdown table to ``$GITHUB_STEP_SUMMARY``
 when CI exports it, matching ``check_bench_regression.py``.
 
-Whole-repo runs go through the fact graph with the incremental cache
-(``.reprolint-cache.json``), so a warm run on an unchanged tree parses
-nothing.  ``--changed[=REF]`` scopes the report to files touched versus
-a git ref plus their reverse import dependencies — the pre-commit mode.
+Every invocation runs one pipeline, :func:`lint`: the fact graph over
+the default targets (with the incremental cache,
+``.reprolint-cache.json``, so a warm run on an unchanged tree parses
+nothing), then every whole-program rule.  Explicit paths and
+``--changed[=REF]`` only filter its findings: explicit paths keep those
+under the named files or directories; ``--changed`` keeps those in files
+touched versus a git ref plus their reverse import dependencies — the
+pre-commit mode.
 ``--explain RL0xx`` prints a rule's contract, a violating and a clean
 example, and its escape hatch.
 """
@@ -23,24 +27,25 @@ from pathlib import Path
 from typing import Sequence
 
 from .cache import AnalysisCache
-from .core import lint_paths
-from .graph import analyze_paths
-from .project import ProjectContext, run_project_rules_ex
-from .registry import PROJECT_RULE_CODES, RULE_DESCRIPTIONS, explain
+from .core import RuleViolation
+from .graph import ProjectGraph, analyze_paths
+from .project import ProjectContext, run_project_rules
+from .registry import RULE_DESCRIPTIONS, explain
 from .report import render_github, render_human, render_json, step_summary_table
 
 __all__ = [
     "add_lint_arguments",
     "changed_paths",
     "default_targets",
+    "lint",
     "resolve_root",
     "run_lint",
 ]
 
-#: Directories the self-application contract covers with per-file rules.
-#: tests/ is analyzed for whole-program evidence (RL003 coverage) but no
-#: per-file rule runs there — fixture files deliberately violate rules.
-DEFAULT_TARGET_NAMES = ("src", "benchmarks", "examples")
+#: Directories every run analyzes.  tests/ contributes whole-program
+#: evidence (RL003 coverage) but no rule reports there — fixture files
+#: deliberately violate rules.
+DEFAULT_TARGET_NAMES = ("src", "benchmarks", "examples", "tests")
 
 
 def resolve_root(root: str | os.PathLike | None = None) -> Path:
@@ -60,6 +65,38 @@ def resolve_root(root: str | os.PathLike | None = None) -> Path:
 
 def default_targets(root: Path) -> list[Path]:
     return [root / name for name in DEFAULT_TARGET_NAMES if (root / name).exists()]
+
+
+def lint(
+    root: Path,
+    rules: set[str] | None = None,
+    cache: AnalysisCache | None = None,
+    extra: Sequence[Path] = (),
+) -> tuple[ProjectGraph, list[RuleViolation], int]:
+    """The one reprolint pipeline: per-file rules and fact extraction
+    over the default targets (plus any ``extra`` paths outside them),
+    then every whole-program rule over the resulting graph.
+
+    Returns (graph, sorted violations, pragma-suppressed count).
+    ``rules`` filters by code; ``cache`` reuses per-file records.
+    """
+    targets = default_targets(root)
+    targets += [
+        path
+        for path in extra
+        if not any(path.resolve().is_relative_to(t.resolve()) for t in targets)
+    ]
+    graph, violations, suppressed = analyze_paths(
+        targets, root=root, rules=rules, cache=cache
+    )
+    project_violations, project_suppressed = run_project_rules(
+        ProjectContext.from_graph(graph), graph, rules=rules
+    )
+    return (
+        graph,
+        sorted(violations + project_violations),
+        suppressed + project_suppressed,
+    )
 
 
 def changed_paths(root: Path, ref: str) -> set[str] | None:
@@ -87,7 +124,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "paths",
         nargs="*",
         type=Path,
-        help="files or directories to lint (default: src benchmarks examples)",
+        help="report only findings under these files or directories; the "
+        "whole program is still analyzed (default: report everything)",
     )
     parser.add_argument(
         "--root",
@@ -157,47 +195,30 @@ def run_lint(args: argparse.Namespace) -> int:
                 f"known: {sorted(RULE_DESCRIPTIONS)}"
             )
             return 2
-    explicit_paths = [Path(p) for p in args.paths]
-    if explicit_paths:
-        # Scoped invocation: per-file rules only, no cache, no project
-        # rules — `repro lint some/file.py` stays a quick local check.
-        targets = [p if p.is_absolute() else root / p for p in explicit_paths]
-        missing = [str(p) for p in targets if not p.exists()]
-        if missing:
-            print(f"reprolint: error: no such path(s): {', '.join(missing)}")
-            return 2
-        violations = lint_paths(targets, root=root, rules=rules)
-        suppressed = 0
-    else:
-        # Whole-repo invocation: fact graph + incremental cache + the
-        # whole-program rules.  tests/ joins the analysis (for RL003
-        # coverage evidence) but contributes no per-file findings.
-        targets = default_targets(root)
-        if (root / "tests").exists():
-            targets.append(root / "tests")
-        cache = None
-        if not getattr(args, "no_cache", False):
-            cache = AnalysisCache(root)
-        graph, violations, suppressed = analyze_paths(
-            targets, root=root, rules=rules, cache=cache
-        )
-        if rules is None or rules & PROJECT_RULE_CODES:
-            project = ProjectContext.from_graph(graph)
-            project_violations, project_suppressed = run_project_rules_ex(
-                project, rules=rules, graph=graph
+    explicit = [p if p.is_absolute() else root / p for p in map(Path, args.paths)]
+    missing = [str(p) for p in explicit if not p.exists()]
+    if missing:
+        print(f"reprolint: error: no such path(s): {', '.join(missing)}")
+        return 2
+    cache = None if getattr(args, "no_cache", False) else AnalysisCache(root)
+    graph, violations, suppressed = lint(root, rules, cache, extra=explicit)
+    if explicit:
+        scopes = [p.resolve() for p in explicit]
+        violations = [
+            v
+            for v in violations
+            if any((root / v.path).resolve().is_relative_to(s) for s in scopes)
+        ]
+    if args.changed is not None:
+        scoped = changed_paths(root, args.changed)
+        if scoped is None:
+            print(
+                f"reprolint: error: cannot diff against {args.changed!r} "
+                "(not a git checkout, or unknown ref)"
             )
-            violations = sorted(violations + project_violations)
-            suppressed += project_suppressed
-        if args.changed is not None:
-            scoped = changed_paths(root, args.changed)
-            if scoped is None:
-                print(
-                    f"reprolint: error: cannot diff against {args.changed!r} "
-                    "(not a git checkout, or unknown ref)"
-                )
-                return 2
-            frontier = graph.reverse_closure(scoped)
-            violations = [v for v in violations if v.path in frontier]
+            return 2
+        frontier = graph.reverse_closure(scoped)
+        violations = [v for v in violations if v.path in frontier]
     renderer = {
         "human": render_human,
         "json": render_json,

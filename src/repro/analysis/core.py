@@ -25,8 +25,6 @@ __all__ = [
     "Rule",
     "RuleViolation",
     "lint_context",
-    "lint_file",
-    "lint_paths",
     "lint_source",
     "module_name_for",
     "parse_pragmas",
@@ -73,9 +71,6 @@ def parse_pragmas(source: str) -> dict[int, frozenset[str]]:
             )
             pragmas[lineno] = codes
     return pragmas
-
-
-_parse_pragmas = parse_pragmas  # pre-v2 private name
 
 
 def parse_transient_lines(source: str) -> frozenset[int]:
@@ -239,48 +234,12 @@ def lint_source(
     return result.violations
 
 
-def lint_file(
-    path: Path, root: Path, rules: Iterable[Rule] | None = None
-) -> list[RuleViolation]:
-    source = path.read_text(encoding="utf-8")
-    display = str(path.relative_to(root)) if path.is_relative_to(root) else str(path)
-    return lint_source(
-        source,
-        path=display,
-        module=module_name_for(path, root),
-        rules=rules,
-        scope=scope_for(path, root),
-    )
-
-
 def iter_python_files(targets: Sequence[Path]) -> list[Path]:
+    """Every ``.py`` under the targets, each once, in target order."""
     files: list[Path] = []
     for target in targets:
         if target.is_dir():
             files.extend(sorted(target.rglob("*.py")))
         elif target.suffix == ".py":
             files.append(target)
-    return [f for f in files if "__pycache__" not in f.parts]
-
-
-def lint_paths(
-    targets: Sequence[Path],
-    root: Path,
-    rules: Iterable[str] | None = None,
-) -> list[RuleViolation]:
-    """Per-file rules over every ``.py`` under the targets.
-
-    ``rules`` filters by code (e.g. ``{"RL001"}``); None runs all
-    per-file rules.  Each file is parsed exactly once.
-    """
-    from .rules import FILE_RULES
-
-    active = [
-        rule
-        for rule in FILE_RULES()
-        if rules is None or rule.code in set(rules)
-    ]
-    violations: list[RuleViolation] = []
-    for path in iter_python_files(targets):
-        violations.extend(lint_file(path, root, rules=active))
-    return sorted(violations)
+    return list(dict.fromkeys(f for f in files if "__pycache__" not in f.parts))

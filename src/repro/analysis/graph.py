@@ -1,7 +1,7 @@
 """Whole-program facts and the ProjectGraph behind reprolint v2.
 
-The v2 rules (RL009 seed provenance, RL010 snapshot coverage, RL011
-cache-key completeness, RL012 interprocedural engine purity) all need
+The whole-program rules (RL002 engine purity, RL009 seed provenance,
+RL010 snapshot coverage, RL011 cache-key completeness) all need
 cross-file visibility.  Rather than hand each rule the raw ASTs of
 every file, extraction reduces each file — in the same single parse the
 per-file rules use — to a serializable :class:`FileFacts` record:
@@ -14,7 +14,7 @@ consumed.
 A :class:`ProjectGraph` is the indexed union of those records: a
 project-wide symbol table (``module:function`` -> taint summary), the
 import graph (with the reverse closure ``repro lint --changed`` needs),
-and the one-level call graph RL012 walks.  Because facts are plain
+and the one-level call graph RL002 walks.  Because facts are plain
 JSON, the incremental cache (:mod:`repro.analysis.cache`) can persist
 them per content hash and warm runs rebuild the graph without parsing
 a single unchanged file.
@@ -29,8 +29,6 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .core import (
-    LintContext,
-    Rule,
     RuleViolation,
     iter_python_files,
     lint_context,
@@ -44,14 +42,12 @@ from .dataflow import (
     CallTaint,
     FunctionSummary,
     Join,
-    Param,
     TaintEvaluator,
     dotted_name,
     join,
     taint_from_json,
     taint_to_json,
 )
-from .rules import per_element_loops
 
 __all__ = [
     "ConfigClassFacts",
@@ -63,6 +59,8 @@ __all__ = [
     "SnapshotClassFacts",
     "analyze_paths",
     "extract_facts",
+    "is_dataclass_def",
+    "per_element_loops",
 ]
 
 #: Call names whose argument provenance RL009 audits.
@@ -358,9 +356,46 @@ def _module_constants(tree: ast.Module) -> dict[str, object]:
     return env
 
 
+def _loop_var_names(target: ast.expr) -> set[str]:
+    return {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+
+
+def _subscripted_by(node: ast.AST, names: set[str]) -> ast.AST | None:
+    """First Subscript in the subtree whose index uses one of ``names``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Subscript):
+            for inner in ast.walk(sub.slice):
+                if isinstance(inner, ast.Name) and inner.id in names:
+                    return sub
+    return None
+
+
+def per_element_loops(scope: ast.AST) -> list[int]:
+    """Lines of ``for i in range(...)`` loops whose body subscripts with
+    the loop variable — the per-element scalar pattern RL002 flags.
+    Recorded for every top-level function and class, so RL002 can check
+    engine bodies and follow engine calls into helpers."""
+    lines: list[int] = []
+    for node in ast.walk(scope):
+        if not isinstance(node, ast.For):
+            continue
+        iterator = node.iter
+        if not (
+            isinstance(iterator, ast.Call)
+            and isinstance(iterator.func, ast.Name)
+            and iterator.func.id == "range"
+        ):
+            continue
+        loop_vars = _loop_var_names(node.target)
+        body = ast.Module(body=node.body, type_ignores=[])
+        if _subscripted_by(body, loop_vars) is not None:
+            lines.append(node.lineno)
+    return lines
+
+
 def _plain_callees(scope: ast.AST) -> tuple[str, ...]:
     """Plain-name calls anywhere in a top-level symbol's subtree — the
-    one-level call-graph edges RL012 follows into helpers."""
+    one-level call-graph edges RL002 follows into helpers."""
     seen: list[str] = []
     for node in ast.walk(scope):
         if (
@@ -442,7 +477,7 @@ def _snapshot_class_facts(
     )
 
 
-def _is_dataclass_def(node: ast.ClassDef) -> bool:
+def is_dataclass_def(node: ast.ClassDef) -> bool:
     for decorator in node.decorator_list:
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
         if dotted_name(target).rsplit(".", 1)[-1] == "dataclass":
@@ -451,7 +486,7 @@ def _is_dataclass_def(node: ast.ClassDef) -> bool:
 
 
 def _config_class_facts(node: ast.ClassDef) -> ConfigClassFacts | None:
-    if not node.name.endswith("Config") or not _is_dataclass_def(node):
+    if not node.name.endswith("Config") or not is_dataclass_def(node):
         return None
     fields: list[tuple[str, int]] = []
     for stmt in node.body:
@@ -637,9 +672,6 @@ def extract_facts(
                 facts.summaries[node.name] = FunctionSummary(
                     params=summary.params, returns=qualify(summary.returns)
                 )
-                loops = per_element_loops(node)
-                if loops:
-                    facts.loops[node.name] = tuple(loops)
             builder = _key_builder_facts(node)
             if builder is not None:
                 facts.key_builders.append(builder)
@@ -655,10 +687,13 @@ def extract_facts(
         for s in sorted(facts.seed_sites, key=lambda s: (s.line, s.owner))
     ]
 
-    # Top-level symbols: call edges for RL012; classes also contribute
-    # snapshot/config facts.
+    # Top-level symbols: per-element loops and call edges for RL002;
+    # classes also contribute snapshot/config facts.
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            loops = per_element_loops(stmt)
+            if loops:
+                facts.loops[stmt.name] = tuple(loops)
             callees = _plain_callees(stmt)
             if callees:
                 facts.calls[stmt.name] = callees
@@ -747,12 +782,13 @@ class ProjectGraph:
 
     def resolve_function(self, module: str, name: str) -> tuple[FileFacts, str] | None:
         """Resolve a plain-name call in ``module`` to the defining
-        (facts, function name) pair, following from-imports."""
+        (facts, function name) pair, following from-imports.  Only
+        functions resolve: a class is a constructor call, not a helper."""
         facts = self.by_module.get(module)
         for _ in range(8):
             if facts is None:
                 return None
-            if name in facts.summaries or name in facts.loops:
+            if name in facts.summaries:
                 return facts, name
             target = facts.imports.get(name)
             if not target:

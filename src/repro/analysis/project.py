@@ -1,11 +1,16 @@
 """Whole-program reprolint rules.
 
-RL003 (spec/engine conformance) and RL007 (bench-gate consistency) run
-over a :class:`ProjectContext` — a plain-data snapshot of the difftest
-registry, test-file evidence, benchmark gate calls, and the committed
-baseline.  The v2 rules run over the :class:`~repro.analysis.graph.
-ProjectGraph` fact table instead:
+Every rule here receives two views of the same analysis run: the
+:class:`~repro.analysis.graph.ProjectGraph` fact table, and the
+:class:`ProjectContext` derived from it (:meth:`ProjectContext.from_graph`)
+— a plain-data snapshot of the difftest registry, test-file evidence,
+benchmark gate calls, and the committed baseline.  RL003 (spec/engine
+conformance) and RL007 (bench-gate consistency) read the context; the
+rest read the graph:
 
+* **RL002 engine purity** — no per-element index loops inside a
+  registered engine body, nor one call-graph level further in the
+  helpers that body invokes.
 * **RL009 seed provenance** — interprocedural taint: every value
   reaching a ``default_rng``/``spawn_streams`` seed argument must flow
   from a config seed field or a threaded ``seed`` parameter, through
@@ -17,9 +22,6 @@ ProjectGraph` fact table instead:
   ``DegradedReadConfig`` field must reach a cache-key builder
   (``config_hash``/``schedule_run_key``-style) or sit on the documented
   exclusion list (``checkpoint_*`` policy knobs, ``_*`` runtime keys).
-* **RL012 interprocedural engine purity** — RL002's per-element-loop
-  check extended one call-graph level into helpers invoked from
-  registered engine bodies.
 
 Every input is plain data, so tests construct synthetic contexts and
 graphs directly instead of faking a repository.
@@ -33,16 +35,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .core import Rule, RuleViolation, iter_python_files
+from .core import Rule, RuleViolation
 from .dataflow import CONST, SEEDED, resolve_taint
-from .graph import ProjectGraph, referenced_identifiers
-from .rules import engine_symbols_by_module
+from .graph import ProjectGraph
 
 __all__ = [
     "CacheKeyCompletenessRule",
     "ConformanceRule",
+    "EnginePurityRule",
     "GateRoundtripRule",
-    "InterproceduralPurityRule",
     "PairRecord",
     "ProjectContext",
     "PROJECT_RULE_CLASSES",
@@ -50,8 +51,8 @@ __all__ = [
     "SeedProvenanceRule",
     "SnapshotCoverageRule",
     "TestEvidence",
+    "engine_symbols_by_module",
     "run_project_rules",
-    "run_project_rules_ex",
 ]
 
 PAIRS_PATH = "src/repro/difftest/pairs.py"
@@ -92,21 +93,6 @@ class ProjectContext:
     pairs_path: str = PAIRS_PATH
     baseline_path: str = BASELINE_PATH
     errors: list[RuleViolation] = field(default_factory=list)
-
-    @classmethod
-    def from_repo(cls, root: Path) -> "ProjectContext":
-        root = Path(root)
-        errors: list[RuleViolation] = []
-        return cls(
-            pairs=_load_pairs(root, errors),
-            tests=tuple(
-                _test_evidence(path, root)
-                for path in iter_python_files([root / "tests"])
-            ),
-            gated_keys=_baseline_gated_keys(root, errors),
-            gate_calls=_gate_speedup_calls(root),
-            errors=errors,
-        )
 
     @classmethod
     def from_graph(cls, graph: ProjectGraph) -> "ProjectContext":
@@ -177,15 +163,6 @@ def _load_pairs(root: Path, errors: list[RuleViolation]) -> tuple[PairRecord, ..
     )
 
 
-def _test_evidence(path: Path, root: Path) -> TestEvidence:
-    display = str(path.relative_to(root)) if path.is_relative_to(root) else str(path)
-    try:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=display)
-    except SyntaxError:
-        return TestEvidence(display, frozenset())
-    return TestEvidence(display, referenced_identifiers(tree))
-
-
 def _baseline_gated_keys(
     root: Path, errors: list[RuleViolation]
 ) -> dict[str, int]:
@@ -216,45 +193,15 @@ def _baseline_gated_keys(
     return keys
 
 
-def _gate_speedup_calls(root: Path) -> dict[str, tuple[str, int]]:
-    calls: dict[str, tuple[str, int]] = {}
-    for path in iter_python_files([root / "benchmarks"]):
-        display = (
-            str(path.relative_to(root)) if path.is_relative_to(root) else str(path)
-        )
-        try:
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=display)
-        except SyntaxError:
-            continue
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and (
-                    (isinstance(node.func, ast.Name) and node.func.id == "gate_speedup")
-                    or (
-                        isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "gate_speedup"
-                    )
-                )
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                calls[node.args[0].value] = (display, node.lineno)
-    return calls
-
-
 # ---------------------------------------------------------------------------
 # Project rule classes
 # ---------------------------------------------------------------------------
 
 
 class ProjectRule(Rule):
-    """Base for whole-program rules.  ``check`` receives whichever of
-    the two project views exists for this invocation; rules needing a
-    view that's absent contribute nothing.  Findings silenced by a
-    ``disable=`` pragma in the anchoring file are tallied in
-    ``self.suppressed``."""
+    """Base for whole-program rules.  ``check`` receives both project
+    views of one analysis run.  Findings silenced by a ``disable=``
+    pragma in the anchoring file are tallied in ``self.suppressed``."""
 
     kind = "project"
 
@@ -262,7 +209,7 @@ class ProjectRule(Rule):
         self.suppressed = 0
 
     def check(
-        self, context: ProjectContext | None, graph: ProjectGraph | None
+        self, context: ProjectContext, graph: ProjectGraph
     ) -> list[RuleViolation]:
         raise NotImplementedError
 
@@ -282,6 +229,114 @@ class ProjectRule(Rule):
             self.suppressed += 1
             return
         violations.append(RuleViolation(path, line, self.code, message))
+
+
+def engine_symbols_by_module() -> dict[str, frozenset[str]]:
+    """module dotted path -> engine symbol names, from the registry."""
+    from repro.difftest import engine_matrix
+
+    table: dict[str, set[str]] = {}
+    for pair in engine_matrix():
+        module, symbol = pair.engine_module, pair.engine_symbol
+        if symbol:
+            table.setdefault(module, set()).add(symbol)
+    return {module: frozenset(symbols) for module, symbols in table.items()}
+
+
+class EnginePurityRule(ProjectRule):
+    """RL002: vectorized engines stay vectorized, helpers included.
+
+    Inside the *registered engine symbol's body* (the class or function
+    the difftest registry names as a subsystem's engine), flag ``for i
+    in range(...)`` loops whose body indexes arrays with the loop
+    variable — the classic per-element scalar loop that silently erases
+    the >=10x the bench gate demands.  The check follows the engine body
+    one call-graph level: plain-name helper functions it invokes (same
+    module or imported) are held to the same contract, so pushing the
+    scalar loop into a helper does not launder it past the gate.  Loops
+    over compiled-program ops, per-group axes (``enumerate``/``zip``) or
+    transition depth don't index per element and pass.
+    """
+
+    code = "RL002"
+    description = (
+        "engine purity: registered vectorized engines, and the helpers "
+        "their bodies call, must not run per-element Python index loops "
+        "over struct-of-arrays fields"
+    )
+    contract = (
+        "The body of every engine symbol registered in the difftest "
+        "matrix must stay vectorized: no `for i in range(...)` loop that "
+        "subscripts arrays with the loop variable.  The same holds one "
+        "call level down, for every module-level function the engine "
+        "body calls by plain name (same module or imported): moving the "
+        "scalar loop into a helper does not restore the >=10x speedups "
+        "the bench gates enforce."
+    )
+    example_bad = (
+        "def _scalar_helper(xs, out):\n"
+        "    for i in range(len(xs)):\n"
+        "        out[i] = xs[i] * 2\n"
+        "class Engine:\n"
+        "    def run(self):\n"
+        "        _scalar_helper(self.xs, self.out)"
+    )
+    example_good = "out = weights * counts"
+    escape = (
+        "# reprolint: disable=RL002 on the for-statement line (in the "
+        "engine body or the helper)"
+    )
+
+    def __init__(self, engine_symbols: Mapping[str, frozenset[str]] | None = None):
+        super().__init__()
+        self._engine_symbols = engine_symbols
+
+    def check(self, context, graph):
+        table = self._engine_symbols
+        if table is None:
+            table = engine_symbols_by_module()
+        in_engine: dict[tuple[str, int], str] = {}
+        in_helper: dict[tuple[str, int, str], set[str]] = {}
+        for module, symbols in sorted(table.items()):
+            facts = graph.by_module.get(module)
+            if facts is None:
+                continue
+            for symbol in sorted(symbols):
+                for line in facts.loops.get(symbol, ()):
+                    in_engine[(facts.path, line)] = symbol
+                for callee in facts.calls.get(symbol, ()):
+                    resolved = graph.resolve_function(module, callee)
+                    if resolved is None:
+                        continue
+                    helper_facts, helper_name = resolved
+                    if helper_name in table.get(helper_facts.module, ()):
+                        continue  # an engine body: reported as one above
+                    for line in helper_facts.loops.get(helper_name, ()):
+                        key = (helper_facts.path, line, helper_name)
+                        in_helper.setdefault(key, set()).add(symbol)
+        violations: list[RuleViolation] = []
+        for (path, line), symbol in sorted(in_engine.items()):
+            self._report(
+                violations,
+                graph,
+                path,
+                line,
+                f"per-element index loop inside registered engine "
+                f"{symbol!r}: body subscripts arrays with the range() "
+                "loop variable; vectorize or justify with a pragma",
+            )
+        for (path, line, helper_name), engines in sorted(in_helper.items()):
+            named = ", ".join(sorted(engines))
+            self._report(
+                violations,
+                graph,
+                path,
+                line,
+                f"per-element index loop in helper {helper_name!r} called "
+                f"from registered engine body ({named}): vectorize the "
+                "helper or justify with a pragma",
+            )
+        return violations
 
 
 class ConformanceRule(ProjectRule):
@@ -308,62 +363,56 @@ class ConformanceRule(ProjectRule):
         "register_engine_pair('widget', ..., gate='widget_speedup')\n"
         "# plus tests/test_widget.py referencing spec and engine"
     )
-    escape = "# reprolint: disable=RL003 on the registration line"
+    escape = (
+        "# reprolint: disable=RL003 on the registration line (dead-key "
+        "findings anchored in bench_baseline.json cannot be suppressed: "
+        "JSON has no comments — delete the key instead)"
+    )
 
     def check(self, context, graph):
-        if context is None:
-            return []
         violations: list[RuleViolation] = []
+
+        def report(path: str, line: int, message: str) -> None:
+            self._report(violations, graph, path, line, message)
+
         for pair in context.pairs:
             covered = any(
                 evidence.names_both(pair.spec_symbol, pair.engine_symbol)
                 for evidence in context.tests
             )
             if not covered:
-                violations.append(
-                    RuleViolation(
-                        context.pairs_path,
-                        pair.line,
-                        self.code,
-                        f"engine pair {pair.subsystem!r} has no differential "
-                        f"test: no tests/ file references both "
-                        f"{pair.spec_symbol!r} and {pair.engine_symbol!r}",
-                    )
+                report(
+                    context.pairs_path,
+                    pair.line,
+                    f"engine pair {pair.subsystem!r} has no differential "
+                    f"test: no tests/ file references both "
+                    f"{pair.spec_symbol!r} and {pair.engine_symbol!r}",
                 )
             if pair.gate is None:
-                violations.append(
-                    RuleViolation(
-                        context.pairs_path,
-                        pair.line,
-                        self.code,
-                        f"engine pair {pair.subsystem!r} declares no CI gate "
-                        "metric (gate=None): regressions would land silently",
-                    )
+                report(
+                    context.pairs_path,
+                    pair.line,
+                    f"engine pair {pair.subsystem!r} declares no CI gate "
+                    "metric (gate=None): regressions would land silently",
                 )
             elif pair.gate not in context.gated_keys:
-                violations.append(
-                    RuleViolation(
-                        context.pairs_path,
-                        pair.line,
-                        self.code,
-                        f"engine pair {pair.subsystem!r} gates on "
-                        f"{pair.gate!r} but {context.baseline_path} has no such "
-                        "gated key: the speedup is never CI-checked",
-                    )
+                report(
+                    context.pairs_path,
+                    pair.line,
+                    f"engine pair {pair.subsystem!r} gates on "
+                    f"{pair.gate!r} but {context.baseline_path} has no such "
+                    "gated key: the speedup is never CI-checked",
                 )
         alive = {pair.gate for pair in context.pairs if pair.gate}
         alive.update(f"{name}_speedup" for name in context.gate_calls)
         for key, line in sorted(context.gated_keys.items()):
             if key not in alive:
-                violations.append(
-                    RuleViolation(
-                        context.baseline_path,
-                        line,
-                        self.code,
-                        f"dead baseline key {key!r}: no registered pair or "
-                        "gate_speedup call records it, so the gate can never "
-                        "trip",
-                    )
+                report(
+                    context.baseline_path,
+                    line,
+                    f"dead baseline key {key!r}: no registered pair or "
+                    "gate_speedup call records it, so the gate can never "
+                    "trip",
                 )
         return violations
 
@@ -386,21 +435,18 @@ class GateRoundtripRule(ProjectRule):
     escape = "# reprolint: disable=RL007 on the gate_speedup line"
 
     def check(self, context, graph):
-        if context is None:
-            return []
         violations: list[RuleViolation] = []
         for name, (path, line) in sorted(context.gate_calls.items()):
             key = f"{name}_speedup"
             if key not in context.gated_keys:
-                violations.append(
-                    RuleViolation(
-                        path,
-                        line,
-                        self.code,
-                        f"gate_speedup({name!r}) records {key!r} but "
-                        f"{context.baseline_path} never gates it: the bench "
-                        "runs without a regression floor",
-                    )
+                self._report(
+                    violations,
+                    graph,
+                    path,
+                    line,
+                    f"gate_speedup({name!r}) records {key!r} but "
+                    f"{context.baseline_path} never gates it: the bench "
+                    "runs without a regression floor",
                 )
         return violations
 
@@ -447,8 +493,6 @@ class SeedProvenanceRule(ProjectRule):
     escape = "# reprolint: disable=RL009 on the call line"
 
     def check(self, context, graph):
-        if graph is None:
-            return []
         violations: list[RuleViolation] = []
         for path, facts in sorted(graph.files.items()):
             if facts.scope != "src":
@@ -525,8 +569,6 @@ class SnapshotCoverageRule(ProjectRule):
     )
 
     def check(self, context, graph):
-        if graph is None:
-            return []
         violations: list[RuleViolation] = []
         for path, facts in sorted(graph.files.items()):
             if facts.scope != "src":
@@ -598,8 +640,6 @@ class CacheKeyCompletenessRule(ProjectRule):
     escape = "# reprolint: disable=RL011 on the field line"
 
     def check(self, context, graph):
-        if graph is None:
-            return []
         builders = [
             builder
             for facts in graph.files.values()
@@ -651,92 +691,15 @@ class CacheKeyCompletenessRule(ProjectRule):
         return violations
 
 
-class InterproceduralPurityRule(ProjectRule):
-    """RL012: engine purity follows calls into helpers.
-
-    RL002 checks registered engine bodies; this rule walks one
-    call-graph level further: plain-name helper functions invoked from
-    an engine body (in the same module or imported) must not contain
-    per-element ``for i in range(...)`` index loops either — pushing
-    the scalar loop into a helper must not launder it past the gate.
-    """
-
-    code = "RL012"
-    description = (
-        "interprocedural engine purity: helpers invoked from registered "
-        "engine bodies must not run per-element index loops (RL002 "
-        "extended one call-graph level)"
-    )
-    contract = (
-        "A module-level function called (by plain name, same module or "
-        "imported) from a registered engine body must not contain "
-        "per-element `for i in range(...)` index loops: moving the "
-        "scalar loop into a helper does not restore the vectorized "
-        "speedup the bench gate measures."
-    )
-    example_bad = (
-        "def _scalar_helper(xs, out):\n"
-        "    for i in range(len(xs)):\n"
-        "        out[i] = xs[i] * 2\n"
-        "class Engine:\n"
-        "    def run(self):\n"
-        "        _scalar_helper(self.xs, self.out)"
-    )
-    example_good = "def _helper(xs):\n    return xs * 2"
-    escape = "# reprolint: disable=RL012 on the loop line in the helper"
-
-    def __init__(self, engine_symbols: dict[str, frozenset[str]] | None = None):
-        super().__init__()
-        self._engine_symbols = engine_symbols
-
-    def check(self, context, graph):
-        if graph is None:
-            return []
-        table = self._engine_symbols
-        if table is None:
-            table = engine_symbols_by_module()
-        findings: dict[tuple[str, int, str], set[str]] = {}
-        for module, symbols in sorted(table.items()):
-            facts = graph.by_module.get(module)
-            if facts is None:
-                continue
-            for symbol in sorted(symbols):
-                for callee in facts.calls.get(symbol, ()):
-                    if callee == symbol:
-                        continue
-                    resolved = graph.resolve_function(module, callee)
-                    if resolved is None:
-                        continue
-                    helper_facts, helper_name = resolved
-                    if helper_name in table.get(helper_facts.module, ()):
-                        continue  # RL002 already covers engine bodies
-                    for line in helper_facts.loops.get(helper_name, ()):
-                        key = (helper_facts.path, line, helper_name)
-                        findings.setdefault(key, set()).add(symbol)
-        violations: list[RuleViolation] = []
-        for (path, line, helper_name), engines in sorted(findings.items()):
-            named = ", ".join(sorted(engines))
-            self._report(
-                violations,
-                graph,
-                path,
-                line,
-                f"per-element index loop in helper {helper_name!r} called "
-                f"from registered engine body ({named}): vectorize the "
-                "helper or justify with a pragma",
-            )
-        return violations
-
-
 #: Project rule classes in code order (composed with the per-file rules
 #: by the registry; keep this the only hand-maintained list here).
 PROJECT_RULE_CLASSES: tuple[type[ProjectRule], ...] = (
+    EnginePurityRule,
     ConformanceRule,
     GateRoundtripRule,
     SeedProvenanceRule,
     SnapshotCoverageRule,
     CacheKeyCompletenessRule,
-    InterproceduralPurityRule,
 )
 
 
@@ -745,20 +708,18 @@ def PROJECT_RULES() -> list[ProjectRule]:
     return [cls() for cls in PROJECT_RULE_CLASSES]
 
 
-def run_project_rules_ex(
-    project: ProjectContext | None,
+def run_project_rules(
+    project: ProjectContext,
+    graph: ProjectGraph,
     rules: Iterable[str] | None = None,
-    graph: ProjectGraph | None = None,
 ) -> tuple[list[RuleViolation], int]:
-    """All whole-program rules over the available project views.
+    """Every whole-program rule over both project views.
 
-    Returns (violations, pragma-suppressed count).  ``rules`` filters by
-    code; rules whose required view (context or graph) is absent simply
-    contribute nothing, so registry-only callers and fact-only callers
-    both work.
+    Returns (violations, pragma-suppressed count); ``rules`` filters by
+    code.
     """
     wanted = None if rules is None else set(rules)
-    violations: list[RuleViolation] = list(project.errors) if project else []
+    violations: list[RuleViolation] = list(project.errors)
     suppressed = 0
     for rule in PROJECT_RULES():
         if wanted is not None and rule.code not in wanted:
@@ -766,13 +727,3 @@ def run_project_rules_ex(
         violations.extend(rule.check(project, graph))
         suppressed += rule.suppressed
     return sorted(violations), suppressed
-
-
-def run_project_rules(
-    project: ProjectContext | None,
-    rules: Iterable[str] | None = None,
-    graph: ProjectGraph | None = None,
-) -> list[RuleViolation]:
-    """Back-compat wrapper around :func:`run_project_rules_ex`."""
-    violations, _ = run_project_rules_ex(project, rules=rules, graph=graph)
-    return violations

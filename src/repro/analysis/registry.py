@@ -18,8 +18,6 @@ from .rules import FILE_RULE_CLASSES
 
 __all__ = [
     "ALL_RULE_CLASSES",
-    "FILE_RULE_CODES",
-    "PROJECT_RULE_CODES",
     "RULE_DESCRIPTIONS",
     "explain",
     "rule_class",
@@ -36,9 +34,6 @@ ALL_RULE_CLASSES: tuple[type[Rule], ...] = tuple(
 RULE_DESCRIPTIONS: dict[str, str] = {
     cls.code: cls.description for cls in ALL_RULE_CLASSES
 }
-
-FILE_RULE_CODES = frozenset(cls.code for cls in FILE_RULE_CLASSES)
-PROJECT_RULE_CODES = frozenset(cls.code for cls in PROJECT_RULE_CLASSES)
 
 
 def rule_class(code: str) -> type[Rule] | None:

@@ -1,10 +1,10 @@
-"""The per-file reprolint rules (RL001, RL002, RL004, RL005, RL006, RL008).
+"""The per-file reprolint rules (RL001, RL004, RL005, RL006, RL008).
 
 Each rule encodes one determinism or conformance contract the repo
 learned the hard way (DESIGN.md "Enforced invariants" names the PR or
-bug class behind each).  Whole-program rules — RL003/RL007 plus the v2
-dataflow rules RL009–RL012 — live in :mod:`repro.analysis.project`; the
-single source of truth for the full rule set is
+bug class behind each).  Whole-program rules — RL002/RL003/RL007 plus
+the dataflow rules RL009–RL011 — live in :mod:`repro.analysis.project`;
+the single source of truth for the full rule set is
 :mod:`repro.analysis.registry`.
 """
 
@@ -15,26 +15,13 @@ import re
 from typing import Iterator
 
 from .core import LintContext, Rule
+from .dataflow import dotted_name
+from .graph import is_dataclass_def
 
 __all__ = [
     "FILE_RULES",
     "FILE_RULE_CLASSES",
-    "engine_symbols_by_module",
-    "per_element_loops",
 ]
-
-
-def _call_name(node: ast.Call) -> str:
-    """Dotted name of a call's function, '' when not a plain name chain."""
-    parts: list[str] = []
-    func = node.func
-    while isinstance(func, ast.Attribute):
-        parts.append(func.attr)
-        func = func.value
-    if isinstance(func, ast.Name):
-        parts.append(func.id)
-        return ".".join(reversed(parts))
-    return ""
 
 
 # --------------------------------------------------------------------------
@@ -80,7 +67,7 @@ class RngDisciplineRule(Rule):
     escape = "# reprolint: disable=RL001 on the call line"
 
     def visit_Call(self, context: LintContext, node: ast.Call) -> None:
-        name = _call_name(node)
+        name = dotted_name(node.func)
         parts = name.split(".")
         if len(parts) == 2 and parts[0] == "random" and parts[1] in _RANDOM_GLOBAL_FNS:
             context.report(
@@ -101,141 +88,6 @@ class RngDisciplineRule(Rule):
                 f"legacy {name}() draws from numpy's global state; use a "
                 "seeded np.random.Generator instead",
             )
-
-
-# --------------------------------------------------------------------------
-# RL002: engine purity
-# --------------------------------------------------------------------------
-
-
-def engine_symbols_by_module() -> dict[str, frozenset[str]]:
-    """module dotted path -> engine symbol names, from the registry."""
-    from repro.difftest import engine_matrix
-
-    table: dict[str, set[str]] = {}
-    for pair in engine_matrix():
-        module, symbol = pair.engine_module, pair.engine_symbol
-        if symbol:
-            table.setdefault(module, set()).add(symbol)
-    return {module: frozenset(symbols) for module, symbols in table.items()}
-
-
-def _loop_var_names(target: ast.expr) -> set[str]:
-    return {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
-
-
-def _subscripted_by(node: ast.AST, names: set[str]) -> ast.AST | None:
-    """First Subscript in the subtree whose index uses one of ``names``."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Subscript):
-            for inner in ast.walk(sub.slice):
-                if isinstance(inner, ast.Name) and inner.id in names:
-                    return sub
-    return None
-
-
-def per_element_loops(scope: ast.AST) -> list[int]:
-    """Lines of ``for i in range(...)`` loops whose body subscripts with
-    the loop variable — the per-element scalar pattern RL002/RL012 flag.
-
-    Shared between the per-file engine-purity rule and whole-program
-    fact extraction (which records these for every module-level function
-    so RL012 can follow engine calls into helpers).
-    """
-    lines: list[int] = []
-    for node in ast.walk(scope):
-        if not isinstance(node, ast.For):
-            continue
-        iterator = node.iter
-        if not (
-            isinstance(iterator, ast.Call)
-            and isinstance(iterator.func, ast.Name)
-            and iterator.func.id == "range"
-        ):
-            continue
-        loop_vars = _loop_var_names(node.target)
-        body = ast.Module(body=node.body, type_ignores=[])
-        if _subscripted_by(body, loop_vars) is not None:
-            lines.append(node.lineno)
-    return lines
-
-
-class EnginePurityRule(Rule):
-    """RL002: vectorized engines stay vectorized.
-
-    Inside the *registered engine symbol's body* (the class or function
-    the difftest registry names as a subsystem's engine), flag ``for i
-    in range(...)`` loops whose body indexes arrays with the loop
-    variable — the classic per-element scalar loop that silently erases
-    the >=10x the bench gate demands.  Loops over compiled-program ops,
-    per-group axes (``enumerate``/``zip``) or transition depth don't
-    index per element and pass.
-    """
-
-    code = "RL002"
-    description = (
-        "engine purity: registered vectorized engines must not run "
-        "per-element Python index loops over struct-of-arrays fields"
-    )
-    scopes = ("src",)
-    contract = (
-        "The body of every engine symbol registered in the difftest "
-        "matrix must stay vectorized: no `for i in range(...)` loop that "
-        "subscripts arrays with the loop variable.  Per-element Python "
-        "loops erase the >=10x speedups the bench gates enforce.  RL012 "
-        "extends the same check one call level into helper functions."
-    )
-    example_bad = (
-        "for i in range(n):\n        out[i] = weights[i] * counts[i]"
-    )
-    example_good = "out = weights * counts"
-    escape = "# reprolint: disable=RL002 on the for-statement line"
-
-    def __init__(self, engine_symbols: dict[str, frozenset[str]] | None = None):
-        self._engine_symbols = engine_symbols
-
-    def _symbols_for(self, context: LintContext) -> frozenset[str]:
-        table = self._engine_symbols
-        if table is None:
-            table = engine_symbols_by_module()
-            self._engine_symbols = table
-        return table.get(context.module, frozenset())
-
-    def applies_to(self, context: LintContext) -> bool:
-        return super().applies_to(context) and bool(self._symbols_for(context))
-
-    def _check_scope(self, context: LintContext, scope: ast.AST, name: str) -> None:
-        for node in ast.walk(scope):
-            if not isinstance(node, ast.For):
-                continue
-            iterator = node.iter
-            if not (
-                isinstance(iterator, ast.Call)
-                and isinstance(iterator.func, ast.Name)
-                and iterator.func.id == "range"
-            ):
-                continue
-            loop_vars = _loop_var_names(node.target)
-            hit = _subscripted_by(ast.Module(body=node.body, type_ignores=[]), loop_vars)
-            if hit is not None:
-                context.report(
-                    self.code,
-                    node,
-                    f"per-element index loop inside registered engine "
-                    f"{name!r}: body subscripts arrays with the range() "
-                    "loop variable; vectorize or justify with a pragma",
-                )
-
-    def _maybe_check(self, context: LintContext, node: ast.AST) -> None:
-        name = getattr(node, "name", "")
-        if name in self._symbols_for(context):
-            self._check_scope(context, node, name)
-
-    def visit_ClassDef(self, context: LintContext, node: ast.ClassDef) -> None:
-        self._maybe_check(context, node)
-
-    def visit_FunctionDef(self, context: LintContext, node: ast.FunctionDef) -> None:
-        self._maybe_check(context, node)
 
 
 # --------------------------------------------------------------------------
@@ -352,7 +204,7 @@ def _is_set_expression(node: ast.expr) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     if isinstance(node, ast.Call):
-        name = _call_name(node)
+        name = dotted_name(node.func)
         if name in ("set", "frozenset"):
             return True
         if isinstance(node.func, ast.Attribute) and node.func.attr in (
@@ -374,7 +226,7 @@ def _body_accumulates(node: ast.For) -> ast.AST | None:
         ):
             return stmt
         if isinstance(stmt, ast.Call):
-            name = _call_name(stmt)
+            name = dotted_name(stmt.func)
             tail = name.rsplit(".", 1)[-1]
             if tail in ("heappush", "heappushpop", "schedule", "push", "at"):
                 return stmt
@@ -519,17 +371,8 @@ class ConfigValidationRule(Rule):
     )
     escape = "# reprolint: disable=RL006 on the field (or class) line"
 
-    @staticmethod
-    def _is_dataclass(node: ast.ClassDef) -> bool:
-        for decorator in node.decorator_list:
-            target = decorator.func if isinstance(decorator, ast.Call) else decorator
-            name = _call_name(ast.Call(func=target, args=[], keywords=[]))
-            if name.rsplit(".", 1)[-1] == "dataclass":
-                return True
-        return False
-
     def visit_ClassDef(self, context: LintContext, node: ast.ClassDef) -> None:
-        if not self._is_dataclass(node):
+        if not is_dataclass_def(node):
             return
         guarded: list[tuple[str, ast.AnnAssign]] = []
         validate: ast.FunctionDef | None = None
@@ -676,7 +519,6 @@ class ExceptionHygieneRule(Rule):
 #: the project rules; keep this the only hand-maintained list here).
 FILE_RULE_CLASSES: tuple[type[Rule], ...] = (
     RngDisciplineRule,
-    EnginePurityRule,
     NanConventionRule,
     FloatDeterminismRule,
     ConfigValidationRule,

@@ -329,7 +329,7 @@ def compile_xor_schedule(field: GF, matrix) -> XorSchedule:
     gf_cost = 0.0
     # Compile-time classification over the coefficient matrix's rows
     # (<= n); the compiled schedule is cached, never per-payload work.
-    for row in range(out_blocks):  # reprolint: disable=RL012
+    for row in range(out_blocks):  # reprolint: disable=RL002
         sources = np.nonzero(mat[row])[0]
         coeffs = mat[row, sources]
         gf_cost += sum(WORD_OP_COST if int(c) == 1 else GATHER_PASS_COST for c in coeffs)

@@ -59,10 +59,10 @@ def gf_matmul(field: GF, a, b) -> np.ndarray:
     out = np.zeros((a.shape[0], b.shape[1]), dtype=field.dtype)
     # Loops cover the (rows, k) code dimensions only; each addmul is one
     # vectorized pass over the full payload width.
-    for i in range(a.shape[0]):  # reprolint: disable=RL012
+    for i in range(a.shape[0]):  # reprolint: disable=RL002
         acc = out[i]
         row = a[i]
-        for k in range(a.shape[1]):  # reprolint: disable=RL012
+        for k in range(a.shape[1]):  # reprolint: disable=RL002
             field.addmul(acc, row[k], b[k])
     return out
 
@@ -100,13 +100,13 @@ def gf_matmul_batch(field: GF, a, batch) -> np.ndarray:
     table = field.mul_table
     # (k, rows) are code dimensions; every operation below acts on a
     # whole (stripes * width) symbol plane at once.
-    for j in range(k):  # reprolint: disable=RL012
+    for j in range(k):  # reprolint: disable=RL002
         plane = flat[j]
         column = a[:, j]
         index = None  # computed lazily, shared by every row needing it
         log_plane = None
         zero_mask = None
-        for i in range(rows):  # reprolint: disable=RL012
+        for i in range(rows):  # reprolint: disable=RL002
             coeff = int(column[i])
             if coeff == 0:
                 continue

@@ -14,8 +14,12 @@ from repro.analysis import (
     lint_repo,
     lint_source,
 )
+from repro.analysis.cli import lint
 from repro.analysis.cli import main as lint_main
+from repro.analysis.graph import FileFacts, FileRecord, ProjectGraph, analyze_paths
 from repro.analysis.project import (
+    PAIRS_PATH,
+    EnginePurityRule,
     PairRecord,
     ProjectContext,
     TestEvidence,
@@ -29,7 +33,6 @@ from repro.analysis.report import (
 )
 from repro.analysis.rules import (
     ConfigValidationRule,
-    EnginePurityRule,
     ExceptionHygieneRule,
     FloatDeterminismRule,
     NanConventionRule,
@@ -41,6 +44,16 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def codes(violations):
     return [v.rule for v in violations]
+
+
+def make_repo(tmp_path: Path, files: dict[str, str]) -> Path:
+    """A synthetic repository: pyproject marker + the given files."""
+    (tmp_path / "pyproject.toml").write_text("[project]\nname='x'\n")
+    for relative, source in files.items():
+        target = tmp_path / relative
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(source)
+    return tmp_path
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +109,11 @@ FAKE_ENGINES = {"repro.cluster.fake": frozenset({"FakeEngine"})}
 
 
 class TestEnginePurity:
-    def lint(self, source):
+    def lint(self, tmp_path, source):
+        root = make_repo(tmp_path, {"src/repro/cluster/fake.py": source})
+        graph, _, _ = analyze_paths([root / "src"], root)
         rule = EnginePurityRule(engine_symbols=FAKE_ENGINES)
-        return lint_source(source, module="repro.cluster.fake", rules=[rule])
+        return rule.check(ProjectContext.from_graph(graph), graph)
 
     VIOLATING = (
         "class FakeEngine:\n"
@@ -107,41 +122,41 @@ class TestEnginePurity:
         "            ys[i] = xs[i] + 1\n"
     )
 
-    def test_violating_per_element_loop(self):
-        found = self.lint(self.VIOLATING)
+    def test_violating_per_element_loop(self, tmp_path):
+        found = self.lint(tmp_path, self.VIOLATING)
         assert codes(found) == ["RL002"]
         assert found[0].line == 3
 
-    def test_clean_vectorized(self):
+    def test_clean_vectorized(self, tmp_path):
         clean = (
             "class FakeEngine:\n"
             "    def tick(self, xs, ys):\n"
             "        ys[:] = xs + 1\n"
         )
-        assert self.lint(clean) == []
+        assert self.lint(tmp_path, clean) == []
 
-    def test_clean_loop_outside_engine(self):
+    def test_clean_loop_outside_engine(self, tmp_path):
         elsewhere = (
             "def helper(xs, ys):\n"
             "    for i in range(len(xs)):\n"
             "        ys[i] = xs[i] + 1\n"
         )
-        assert self.lint(elsewhere) == []
+        assert self.lint(tmp_path, elsewhere) == []
 
-    def test_clean_non_indexing_loop(self):
+    def test_clean_non_indexing_loop(self, tmp_path):
         per_group = (
             "class FakeEngine:\n"
             "    def tick(self, groups):\n"
             "        for _ in range(3):\n"
             "            groups.refresh()\n"
         )
-        assert self.lint(per_group) == []
+        assert self.lint(tmp_path, per_group) == []
 
-    def test_pragma_suppressed(self):
+    def test_pragma_suppressed(self, tmp_path):
         suppressed = self.VIOLATING.replace(
             "range(len(xs)):", "range(len(xs)):  # reprolint: disable=RL002"
         )
-        assert self.lint(suppressed) == []
+        assert self.lint(tmp_path, suppressed) == []
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +411,14 @@ class TestExceptionHygiene:
         assert self.lint(source) == []
 
 
+def project_findings(project, rules=None):
+    found, _ = run_project_rules(project, ProjectGraph(ROOT, {}), rules=rules)
+    return found
+
+
 class TestProjectRules:
     def test_clean_project(self):
-        assert run_project_rules(make_project()) == []
+        assert project_findings(make_project()) == []
 
     def test_missing_differential_test(self):
         project = make_project(
@@ -409,14 +429,14 @@ class TestProjectRules:
                 ),
             )
         )
-        found = run_project_rules(project)
+        found = project_findings(project)
         assert codes(found) == ["RL003"]
         assert "no differential test" in found[0].message
         assert found[0].line == 10
 
     def test_missing_gate_key(self):
         project = make_project(gated_keys={}, gate_calls={})
-        found = run_project_rules(project)
+        found = project_findings(project)
         assert codes(found) == ["RL003"]
         assert "no such gated key" in found[0].message
 
@@ -435,7 +455,7 @@ class TestProjectRules:
             gated_keys={},
             gate_calls={},
         )
-        found = run_project_rules(project)
+        found = project_findings(project)
         assert codes(found) == ["RL003"]
         assert "gate=None" in found[0].message
 
@@ -443,7 +463,7 @@ class TestProjectRules:
         project = make_project(
             gated_keys={"fake_speedup": 5, "retired_speedup": 9}
         )
-        found = run_project_rules(project)
+        found = project_findings(project)
         assert codes(found) == ["RL003"]
         assert "dead baseline key 'retired_speedup'" in found[0].message
         assert found[0].line == 9
@@ -455,7 +475,7 @@ class TestProjectRules:
                 "orphan": ("benchmarks/bench_orphan.py", 7),
             }
         )
-        found = run_project_rules(project)
+        found = project_findings(project)
         # the orphan gate_speedup also keeps no baseline key alive, but
         # only RL007 fires: nothing gates it, so nothing is dead either
         assert codes(found) == ["RL007"]
@@ -464,8 +484,36 @@ class TestProjectRules:
 
     def test_rule_filter(self):
         project = make_project(gate_calls={"orphan": ("b.py", 1)})
-        assert run_project_rules(project, rules={"RL003"}) == []
-        assert codes(run_project_rules(project, rules={"RL007"})) == ["RL007"]
+        assert project_findings(project, rules={"RL003"}) == []
+        assert codes(project_findings(project, rules={"RL007"})) == ["RL007"]
+
+    def test_rl003_pragma_on_registration_line(self):
+        # The escape hatch RL003 documents: a disable= pragma on the
+        # register_engine_pair line silences findings anchored there.
+        project = make_project(tests=())
+        pairs = FileFacts(
+            path=PAIRS_PATH,
+            module="repro.difftest.pairs",
+            scope="src",
+            pragmas={10: frozenset({"RL003"})},
+        )
+        graph = ProjectGraph(ROOT, {PAIRS_PATH: FileRecord(facts=pairs)})
+        assert codes(project_findings(project)) == ["RL003"]
+        found, suppressed = run_project_rules(project, graph, rules={"RL003"})
+        assert found == []
+        assert suppressed == 1
+
+    def test_rl007_pragma_on_gate_speedup_line(self, tmp_path):
+        bench = 'gate_speedup("nosuchbench", 1.0, 1.0)\n'
+        root = make_repo(tmp_path, {"benchmarks/bench_fake.py": bench})
+        _, found, _ = lint(root, rules={"RL007"})
+        assert codes(found) == ["RL007"]
+        (root / "benchmarks/bench_fake.py").write_text(
+            bench.replace("\n", "  # reprolint: disable=RL007\n")
+        )
+        _, found, suppressed = lint(root, rules={"RL007"})
+        assert found == []
+        assert suppressed == 1
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +529,8 @@ class TestSelfApplication:
         )
 
     def test_rl003_covers_all_eleven_pairs(self):
-        project = ProjectContext.from_repo(ROOT)
+        graph, _, _ = lint(ROOT)
+        project = ProjectContext.from_graph(graph)
         assert len(project.pairs) == 11
         subsystems = {pair.subsystem for pair in project.pairs}
         assert subsystems == {
@@ -492,29 +541,21 @@ class TestSelfApplication:
         for pair in project.pairs:
             assert pair.line > 1, pair  # anchored to its registration
             assert pair.gate in project.gated_keys, pair
-        assert run_project_rules(project) == []
+        assert run_project_rules(project, graph, rules={"RL003"}) == ([], 0)
 
     def test_every_rule_documented(self):
         assert set(RULE_DESCRIPTIONS) == {
             "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
-            "RL008", "RL009", "RL010", "RL011", "RL012",
+            "RL008", "RL009", "RL010", "RL011",
         }
         file_rule_codes = {rule.code for rule in FILE_RULES()}
-        assert file_rule_codes == {
-            "RL001", "RL002", "RL004", "RL005", "RL006", "RL008",
-        }
+        assert file_rule_codes == {"RL001", "RL004", "RL005", "RL006", "RL008"}
 
     def test_registry_is_single_source_of_truth(self):
         # RULE_DESCRIPTIONS, the file/project split, --explain, and the
         # DESIGN.md invariant list all derive from one class registry;
         # this pins the derivations to each other so they cannot drift.
-        from repro.analysis.registry import (
-            ALL_RULE_CLASSES,
-            FILE_RULE_CODES,
-            PROJECT_RULE_CODES,
-            explain,
-            rule_class,
-        )
+        from repro.analysis.registry import ALL_RULE_CLASSES, explain, rule_class
         from repro.analysis.project import PROJECT_RULE_CLASSES
         from repro.analysis.rules import FILE_RULE_CLASSES
 
@@ -524,8 +565,12 @@ class TestSelfApplication:
         assert set(ALL_RULE_CLASSES) == set(FILE_RULE_CLASSES) | set(
             PROJECT_RULE_CLASSES
         )
-        assert FILE_RULE_CODES | PROJECT_RULE_CODES == set(RULE_DESCRIPTIONS)
-        assert FILE_RULE_CODES.isdisjoint(PROJECT_RULE_CODES)
+        file_codes = {cls.code for cls in FILE_RULE_CLASSES}
+        project_codes = {cls.code for cls in PROJECT_RULE_CLASSES}
+        assert file_codes | project_codes == set(RULE_DESCRIPTIONS)
+        assert file_codes.isdisjoint(project_codes)
+        assert all(cls.kind == "file" for cls in FILE_RULE_CLASSES)
+        assert all(cls.kind == "project" for cls in PROJECT_RULE_CLASSES)
         for cls in ALL_RULE_CLASSES:
             assert RULE_DESCRIPTIONS[cls.code] == cls.description
             assert rule_class(cls.code) is cls
@@ -609,6 +654,33 @@ class TestCliAndRendering:
         assert json.loads(render_json([]))["clean"] is True
         assert render_github([]) == "reprolint: clean"
         assert "No violations" in step_summary_table([])
+
+    def test_retired_rl012_is_unknown(self, capsys):
+        # RL012 folded into RL002 with no alias: a stale code is a usage
+        # error, and a stale pragma lapses into a live RL002 finding.
+        assert lint_main(["--root", str(ROOT), "--rules", "RL012"]) == 2
+        assert lint_main(["--explain", "RL012"]) == 2
+        assert "unknown rule" in capsys.readouterr().out
+
+    def test_explicit_path_runs_whole_program_rules(self, tmp_path, capsys):
+        # An explicit path filters a whole-program run; it does not
+        # swap in a per-file-only driver that skips RL009.
+        thing = make_repo(
+            tmp_path,
+            {
+                "src/repro/thing.py": (
+                    "import numpy as np\n"
+                    "def make(n):\n"
+                    "    s = 1234 + n\n"
+                    "    return np.random.default_rng(s)\n"
+                ),
+                "src/repro/other.py": "import random\nx = random.random()\n",
+            },
+        ) / "src/repro/thing.py"
+        assert lint_main([str(thing), "--root", str(tmp_path), "--no-cache"]) == 1
+        out = capsys.readouterr().out
+        assert "thing.py:4: RL009" in out
+        assert "other.py" not in out  # outside the named path: filtered
 
     def test_rules_filter_scopes_run(self, tmp_path, capsys):
         bad = tmp_path / "src" / "repro" / "bad.py"

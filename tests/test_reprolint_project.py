@@ -1,4 +1,4 @@
-"""Whole-program reprolint: dataflow, project graph, RL009-RL012.
+"""Whole-program reprolint: dataflow, project graph, RL002, RL009-RL011.
 
 Each rule gets a seeded-mutation test: a synthetic mini-repo that is
 clean, plus the one-line mutation the rule exists to catch (drop a
@@ -13,7 +13,8 @@ import json
 import time
 from pathlib import Path
 
-from repro.analysis.cache import ANALYZER_VERSION, AnalysisCache, environment_hash
+from repro.analysis.cache import AnalysisCache, environment_hash
+from repro.analysis.cli import lint
 from repro.analysis.cli import main as lint_main
 from repro.analysis.dataflow import (
     CONST,
@@ -25,9 +26,9 @@ from repro.analysis.dataflow import (
 )
 from repro.analysis.graph import analyze_paths
 from repro.analysis.project import (
-    InterproceduralPurityRule,
+    EnginePurityRule,
+    ProjectContext,
     run_project_rules,
-    run_project_rules_ex,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,8 +48,12 @@ def analyze(root: Path, cache=None):
     return analyze_paths([root / "src"], root, cache=cache)
 
 
-def project_codes(graph, rules, **kwargs):
-    found, _ = run_project_rules_ex(None, rules=rules, graph=graph, **kwargs)
+def project_rules(graph, rules):
+    return run_project_rules(ProjectContext.from_graph(graph), graph, rules=rules)
+
+
+def project_codes(graph, rules):
+    found, _ = project_rules(graph, rules)
     return [v.rule for v in found]
 
 
@@ -220,7 +225,7 @@ class TestSeedProvenance:
             "    return np.random.default_rng(7)  # reprolint: disable=RL009\n"
         )
         graph, _, _ = analyze(make_repo(tmp_path, {"src/repro/thing.py": bad}))
-        found, suppressed = run_project_rules_ex(None, rules={"RL009"}, graph=graph)
+        found, suppressed = project_rules(graph, {"RL009"})
         assert found == []
         assert suppressed == 1
 
@@ -329,7 +334,7 @@ class TestCacheKeyCompleteness:
         graph, _, _ = analyze(
             make_repo(tmp_path, {"src/repro/cfg.py": source})
         )
-        found, _ = run_project_rules_ex(None, rules={"RL011"}, graph=graph)
+        found, _ = project_rules(graph, {"RL011"})
         assert [v.rule for v in found] == ["RL011"]
         assert "new_knob" in found[0].message
 
@@ -356,7 +361,7 @@ class TestCacheKeyCompleteness:
 
 
 # ---------------------------------------------------------------------------
-# RL012: interprocedural engine purity (mutation: push loop into helper)
+# RL002 through helpers (mutation: push loop into helper)
 # ---------------------------------------------------------------------------
 
 
@@ -364,10 +369,14 @@ FAKE_ENGINES = {"repro.cluster.fake": frozenset({"FakeEngine"})}
 
 
 class TestInterproceduralPurity:
-    def run_rule(self, tmp_path, files):
+    def check(self, tmp_path, files, engines=FAKE_ENGINES):
         graph, _, _ = analyze(make_repo(tmp_path, files))
-        rule = InterproceduralPurityRule(engine_symbols=FAKE_ENGINES)
-        return [v.rule for v in rule.check(None, graph)], graph
+        rule = EnginePurityRule(engine_symbols=engines)
+        return rule.check(ProjectContext.from_graph(graph), graph), rule
+
+    def run_rule(self, tmp_path, files):
+        found, _ = self.check(tmp_path, files)
+        return [v.rule for v in found], found
 
     def test_clean_vectorized_helper(self, tmp_path):
         files = {
@@ -383,8 +392,8 @@ class TestInterproceduralPurity:
         assert codes_found == []
 
     def test_mutation_scalar_loop_pushed_into_helper_fires(self, tmp_path):
-        # The acceptance mutation: RL002 sees a clean engine body, but
-        # the per-element loop just moved one call away.
+        # The acceptance mutation: the engine body is clean, but the
+        # per-element loop just moved one call away.
         files = {
             "src/repro/cluster/fake.py": (
                 "def _helper(xs, out):\n"
@@ -396,7 +405,7 @@ class TestInterproceduralPurity:
             ),
         }
         codes_found, _ = self.run_rule(tmp_path, files)
-        assert codes_found == ["RL012"]
+        assert codes_found == ["RL002"]
 
     def test_mutation_caught_across_module_boundary(self, tmp_path):
         files = {
@@ -413,22 +422,21 @@ class TestInterproceduralPurity:
             ),
         }
         codes_found, _ = self.run_rule(tmp_path, files)
-        assert codes_found == ["RL012"]
+        assert codes_found == ["RL002"]
 
     def test_pragma_on_helper_loop_suppresses(self, tmp_path):
         files = {
             "src/repro/cluster/fake.py": (
                 "def _helper(xs, out):\n"
-                "    for i in range(len(xs)):  # reprolint: disable=RL012\n"
+                "    for i in range(len(xs)):  # reprolint: disable=RL002\n"
                 "        out[i] = xs[i] * 2\n"
                 "class FakeEngine:\n"
                 "    def run(self, xs, out):\n"
                 "        _helper(xs, out)\n"
             ),
         }
-        graph, _, _ = analyze(make_repo(tmp_path, files))
-        rule = InterproceduralPurityRule(engine_symbols=FAKE_ENGINES)
-        assert rule.check(None, graph) == []
+        found, rule = self.check(tmp_path, files)
+        assert found == []
         assert rule.suppressed == 1
 
     def test_loop_in_uncalled_function_ignored(self, tmp_path):
@@ -445,7 +453,67 @@ class TestInterproceduralPurity:
         codes_found, _ = self.run_rule(tmp_path, files)
         assert codes_found == []
 
+    def test_engine_body_and_helper_both_loop(self, tmp_path):
+        files = {
+            "src/repro/cluster/fake.py": (
+                "def _helper(xs, out):\n"
+                "    for i in range(len(xs)):\n"
+                "        out[i] = xs[i] * 2\n"
+                "class FakeEngine:\n"
+                "    def run(self, xs, out):\n"
+                "        for j in range(len(xs)):\n"
+                "            out[j] += 1\n"
+                "        _helper(xs, out)\n"
+            ),
+        }
+        found, _ = self.check(tmp_path, files)
+        helper, body = sorted(found)
+        assert [(v.rule, v.line) for v in (helper, body)] == [
+            ("RL002", 2),
+            ("RL002", 6),
+        ]
+        assert "in helper '_helper' called from registered engine body" in (
+            helper.message
+        )
+        assert "inside registered engine 'FakeEngine'" in body.message
 
+    def test_helper_that_is_itself_an_engine_reported_once(self, tmp_path):
+        files = {
+            "src/repro/cluster/fake.py": (
+                "def plan_vectorized(xs, out):\n"
+                "    for i in range(len(xs)):\n"
+                "        out[i] = xs[i] * 2\n"
+                "class FakeEngine:\n"
+                "    def run(self, xs, out):\n"
+                "        plan_vectorized(xs, out)\n"
+            ),
+        }
+        engines = {
+            "repro.cluster.fake": frozenset({"FakeEngine", "plan_vectorized"})
+        }
+        found, _ = self.check(tmp_path, files, engines=engines)
+        assert [(v.rule, v.line) for v in found] == [("RL002", 2)]
+        assert "inside registered engine 'plan_vectorized'" in found[0].message
+
+    def test_engine_constructor_call_is_not_a_helper(self, tmp_path):
+        # Classes record loops too (for engine bodies), but a call to a
+        # class is a constructor, never a helper to follow.
+        files = {
+            "src/repro/cluster/fake.py": (
+                "class Table:\n"
+                "    def fill(self, xs, out):\n"
+                "        for i in range(len(xs)):\n"
+                "            out[i] = xs[i]\n"
+                "class FakeEngine:\n"
+                "    def run(self, xs):\n"
+                "        return Table()\n"
+            ),
+        }
+        codes_found, _ = self.run_rule(tmp_path, files)
+        assert codes_found == []
+
+
+# ---------------------------------------------------------------------------
 # ---------------------------------------------------------------------------
 # Incremental cache
 # ---------------------------------------------------------------------------
@@ -490,14 +558,51 @@ class TestAnalysisCache:
         analyze(root, cache=warm)
         assert warm.hits == 0 and warm.misses == 2
 
-    def test_env_hash_tracks_registry_inputs(self, tmp_path):
+    def test_env_hash_ignores_registry_edits(self, tmp_path):
+        # No cached record reads the difftest registry, so editing it
+        # must not discard the cache.
         root = make_repo(tmp_path, dict(self.FILES))
-        before = environment_hash(root)
+        cache = AnalysisCache(root)
+        analyze(root, cache=cache)
+        cache.save()
         pairs = root / "src/repro/difftest/pairs.py"
         pairs.parent.mkdir(parents=True)
         pairs.write_text("# registry changed\n")
-        assert environment_hash(root) != before
-        assert ANALYZER_VERSION in ("2.0",) or True  # version is folded in
+        warm = AnalysisCache(root)
+        assert warm.env == cache.env == environment_hash()
+        analyze(root, cache=warm)
+        assert warm.hits == 2 and warm.misses == 1  # only the new file
+
+    def test_rl002_follows_engine_table_on_warm_graph(self, tmp_path):
+        # RL002 reads the engine table at check time, not from cached
+        # records: one warm graph answers for whatever table is passed.
+        root = make_repo(
+            tmp_path,
+            {
+                "src/repro/cluster/fake.py": (
+                    "class FakeEngine:\n"
+                    "    def run(self, xs, out):\n"
+                    "        for i in range(len(xs)):\n"
+                    "            out[i] = xs[i]\n"
+                    "class OtherEngine:\n"
+                    "    def run(self, xs):\n"
+                    "        return xs\n"
+                ),
+            },
+        )
+        analyze(root, cache=AnalysisCache(root))
+        warm = AnalysisCache(root)
+        graph, _, _ = analyze(root, cache=warm)
+        assert warm.hits == 1 and warm.misses == 0
+        context = ProjectContext.from_graph(graph)
+
+        def lines(symbols):
+            table = {"repro.cluster.fake": frozenset(symbols)}
+            return [v.line for v in EnginePurityRule(table).check(context, graph)]
+
+        assert lines({"FakeEngine"}) == [3]
+        assert lines({"OtherEngine"}) == []
+        assert lines({"FakeEngine", "OtherEngine"}) == [3]
 
     def test_corrupt_cache_file_treated_as_empty(self, tmp_path):
         root = make_repo(tmp_path, dict(self.FILES))
@@ -523,27 +628,27 @@ class TestAnalysisCache:
         assert found == []
 
     def test_warm_lint_is_five_times_faster(self):
-        # The incremental contract on the real tree, measured in-process
-        # so interpreter startup does not drown the comparison.
-        targets = [ROOT / "src", ROOT / "benchmarks", ROOT / "examples",
-                   ROOT / "tests"]
+        # The incremental contract on the real tree through the whole
+        # pipeline (project rules included), measured in-process so
+        # interpreter startup does not drown the comparison.
         t0 = time.perf_counter()
-        _, cold_violations, _ = analyze_paths(targets, ROOT)
+        _, cold_violations, cold_suppressed = lint(ROOT)
         cold = time.perf_counter() - t0
         cache = AnalysisCache(ROOT, path=ROOT / ".reprolint-perf-test.json")
         try:
             cache.clear()
-            analyze_paths(targets, ROOT, cache=cache)
-            cache.save()
+            lint(ROOT, cache=cache)
             warm_cache = AnalysisCache(ROOT, path=cache.path)
             t0 = time.perf_counter()
-            _, warm_violations, _ = analyze_paths(targets, ROOT, cache=warm_cache)
+            _, warm_violations, warm_suppressed = lint(ROOT, cache=warm_cache)
             warm = time.perf_counter() - t0
         finally:
             cache.path.unlink(missing_ok=True)
-        assert [v.rule for v in warm_violations] == [
-            v.rule for v in cold_violations
-        ]
+        assert warm_cache.misses == 0
+        assert (warm_violations, warm_suppressed) == (
+            cold_violations,
+            cold_suppressed,
+        )
         assert warm * 5 <= cold, f"warm {warm:.3f}s vs cold {cold:.3f}s"
 
 
@@ -573,7 +678,7 @@ class TestCliModes:
         assert "git" in capsys.readouterr().out.lower()
 
     def test_whole_repo_lint_runs_project_rules(self, tmp_path, capsys):
-        # A repo-mode run (no explicit paths) must include RL009-RL012.
+        # A repo-mode run (no explicit paths) must include RL009-RL011.
         root = make_repo(
             tmp_path,
             {
@@ -587,10 +692,3 @@ class TestCliModes:
         )
         assert lint_main(["--root", str(root), "--no-cache"]) == 1
         assert "RL009" in capsys.readouterr().out
-
-    def test_back_compat_run_project_rules(self):
-        # The old entry point still works for registry-only callers.
-        from repro.analysis.project import ProjectContext
-
-        project = ProjectContext.from_repo(ROOT)
-        assert run_project_rules(project, rules={"RL003"}) == []
